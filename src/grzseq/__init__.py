@@ -19,11 +19,11 @@ from .grzeval import (
     eval_F,
     eval_F_iter,
     exceeds,
+    fold,
     in_relation_R,
 )
 from .frep import (
     FRep,
-    ParseError,
     RepError,
     TRep,
     ValidationReport,
@@ -40,7 +40,7 @@ from .frep import (
     to_total,
     validate,
 )
-from .order import Ordering
+from .order import Ordering, ParseError
 from .ordinals import (
     OMEGA,
     ONE,
@@ -60,8 +60,6 @@ from .ordinals import (
     print_ordinal,
 )
 from .correspond import (
-    Coding,
-    CodingError,
     L_inverse,
     MembershipReport,
     NotInDError,
@@ -71,6 +69,7 @@ from .correspond import (
     g,
     in_D,
     o_map,
+    o_map_literal,
     profile,
 )
 from .seq import (

@@ -18,9 +18,8 @@ import json
 import os
 import sys
 
-from .correspond import Coding, CodingError, NotInDError, Q_pred, g, in_D, o_map
+from .correspond import NotInDError, Q_pred, g, in_D, o_map
 from .frep import (
-    ParseError,
     RepError,
     encode,
     print_rep,
@@ -30,6 +29,7 @@ from .frep import (
     to_total,
 )
 from .grzeval import CapExceededError, Exact
+from .order import ParseError
 from .ordinals import (
     coeff_measure,
     compare,
@@ -75,10 +75,6 @@ def _default_cap() -> int:
     if cap < 2:
         raise SystemExit("grzseq: GRZ_CAP must be at least 2")
     return cap
-
-
-def _coding(name: str) -> Coding:
-    return Coding.REPAIRED if name == "repaired" else Coding.LITERAL
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +125,7 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_ord_encode(args) -> int:
-    a = o_map(args.x, args.base, _coding(args.coding))
+    a = o_map(args.x, args.base)
     if args.json:
         _emit({"ordinal": ordinal_to_json(a), "text": print_ordinal(a)})
     else:
@@ -156,7 +152,7 @@ def _cmd_ord_C(args) -> int:
 
 
 def _cmd_ord_inD(args) -> int:
-    report = in_D(args.a, args.base, _coding(args.coding))
+    report = in_D(args.a, args.base)
     if args.json:
         skel = None
         if report.skeleton is not None:
@@ -173,7 +169,7 @@ def _cmd_ord_inD(args) -> int:
 
 
 def _cmd_ord_Q(args) -> int:
-    out = Q_pred(args.a, args.base, _coding(args.coding), args.cap)
+    out = Q_pred(args.a, args.base, args.cap)
     if args.json:
         _emit({"ordinal": ordinal_to_json(out), "text": print_ordinal(out)})
     else:
@@ -304,7 +300,6 @@ def build_parser(default_cap: int) -> argparse.ArgumentParser:
     q = osub.add_parser("encode", help="ordinal of a number at a base")
     q.add_argument("x", type=_nat)
     q.add_argument("--base", type=_base, required=True)
-    q.add_argument("--coding", choices=["repaired", "literal"], default="repaired")
     add_common(q)
     q.set_defaults(fn=_cmd_ord_encode)
 
@@ -322,14 +317,12 @@ def build_parser(default_cap: int) -> argparse.ArgumentParser:
     q = osub.add_parser("inD", help="membership in the image set at a base")
     q.add_argument("a", type=_ordinal_arg)
     q.add_argument("--base", type=_base, required=True)
-    q.add_argument("--coding", choices=["repaired", "literal"], default="repaired")
     add_common(q)
     q.set_defaults(fn=_cmd_ord_inD)
 
     q = osub.add_parser("Q", help="predecessor inside the image set")
     q.add_argument("a", type=_ordinal_arg)
     q.add_argument("--base", type=_base, required=True)
-    q.add_argument("--coding", choices=["repaired", "literal"], default="repaired")
     add_common(q, cap=True)
     q.set_defaults(fn=_cmd_ord_Q)
 
@@ -375,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (NotInDError, CodingError) as err:
+    except NotInDError as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_REJECTED
     except (ParseError, FileNotFoundError) as err:

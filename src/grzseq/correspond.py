@@ -5,16 +5,12 @@ associated ordinal is
 
     o_k(x) = w^{code(e_1)} c_1 + ... + w^{code(e_l)} c_l
 
-where ``code`` maps exponent values into ordinal exponents.  Two codings
-ship:
-
-* ``Coding.LITERAL``  - code(v) = v below the base and o_k(v) above it.
-  This reading is *not* monotone (o_2(4) = w while o_2(9) = 2) and is kept
-  only so the defect is reproducible.
-* ``Coding.REPAIRED`` - code(v) = v below the base and w + o_k(v) above it.
-  Prefixing w separates the finite and recursive exponent regimes, restores
-  strict monotonicity, and is invariant under base shift.  This is the
-  default everywhere.
+where ``code`` maps exponent values into ordinal exponents: code(v) = v
+below the base and w + o_k(v) above it.  Prefixing w separates the finite
+and recursive exponent regimes, which makes o_k strictly monotone and
+invariant under base shift.  ``o_map_literal`` keeps the unprefixed reading
+code(v) = o_k(v) only so its defect stays reproducible: it is not monotone
+(o_2(4) = w while o_2(9) = 2).
 
 On top of the map sit: the membership test for its image D_k (structural,
 never materializing the astronomically large preimages), the inverse L_k,
@@ -25,11 +21,10 @@ by the slowdown construction.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .frep import encode
-from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, _iter, exceeds
+from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, exceeds, fold
 from .ordinals import (
     OMEGA,
     ZERO,
@@ -42,11 +37,6 @@ from .ordinals import (
 )
 
 
-class Coding(enum.Enum):
-    LITERAL = "literal"
-    REPAIRED = "repaired"
-
-
 class NotInDError(ValueError):
     """The ordinal is not the image of any number at this base."""
 
@@ -54,10 +44,6 @@ class NotInDError(ValueError):
         super().__init__(f"not in D_{base}: {reason}")
         self.base = base
         self.reason = reason
-
-
-class CodingError(ValueError):
-    """Operation undefined under the requested exponent coding."""
 
 
 @dataclass(frozen=True)
@@ -84,16 +70,8 @@ class PaddedProfile:
 # The forward map
 
 
-def _code_exponent(v: int, k: int, coding: Coding) -> Ordinal:
-    if v < k:
-        return from_int(v)
-    if coding is Coding.LITERAL:
-        return o_map(v, k, Coding.LITERAL)
-    return add(OMEGA, o_map(v, k, Coding.REPAIRED))
-
-
-def o_map(x: int, k: int, coding: Coding = Coding.REPAIRED) -> Ordinal:
-    """The ordinal associated with x at base k; requires x >= k >= 2."""
+def _ordinal_of(x: int, k: int, code) -> Ordinal:
+    # sum of w^{code(e)} c over the pairs of x, code applied to exponents >= k
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
     if not isinstance(x, int) or x < k:
@@ -102,8 +80,22 @@ def o_map(x: int, k: int, coding: Coding = Coding.REPAIRED) -> Ordinal:
     for e, c in encode(x, k).pairs:
         if c == 0:
             continue  # the bare-base [(0,0)] contributes nothing: o_k(k) = 0
-        total = add(total, omega_pow(_code_exponent(e, k, coding), c))
+        total = add(total, omega_pow(from_int(e) if e < k else code(e), c))
     return total
+
+
+def o_map(x: int, k: int) -> Ordinal:
+    """The ordinal associated with x at base k; requires x >= k >= 2."""
+    return _ordinal_of(x, k, lambda v: add(OMEGA, o_map(v, k)))
+
+
+def o_map_literal(x: int, k: int) -> Ordinal:
+    """o_k with exponents coded as o_k(v) instead of w + o_k(v) above the base.
+
+    Not monotone (o_2(4) = w > 2 = o_2(9)) and not injective
+    (o_2(4) = o_2(2048) = w); kept only so that defect is reproducible.
+    """
+    return _ordinal_of(x, k, lambda v: o_map_literal(v, k))
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +105,6 @@ def o_map(x: int, k: int, coding: Coding = Coding.REPAIRED) -> Ordinal:
 # probed against the intermediate-base chain under a bound derived from the
 # ordinal itself (the chain outgrows every coefficient as soon as any piece
 # leaves the bound, so membership never materializes the full preimage).
-
-
-def _require_repaired(coding: Coding, what: str) -> None:
-    if coding is not Coding.REPAIRED:
-        raise CodingError(
-            f"{what} is only defined under the repaired coding; the literal "
-            "coding is not injective (o_2(4) = o_2(2048) = w)"
-        )
 
 
 def _skeleton(a: Ordinal, k: int, bound: int) -> list[tuple[int | None, int]]:
@@ -137,7 +121,7 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> list[tuple[int | None, int]]:
             entries.append((v, c))
         else:
             inner = _skeleton(left_subtract_omega(e), k, bound)
-            entries.append((_fold(inner, k, bound), c))
+            entries.append((fold(inner, k, bound), c))
     # count bounds against the intermediate-base chain
     chain: int | None = k
     for p, (v, c) in enumerate(entries, start=1):
@@ -145,30 +129,20 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> list[tuple[int | None, int]]:
             continue  # chain already above bound >= every coefficient of a
         if c >= chain:
             raise NotInDError(k, f"count {c} at position {p} not below intermediate base {chain}")
-        chain = _iter(v, c, chain, bound) if v is not None else None
+        chain = fold(((v, c),), chain, bound)
     return entries
-
-
-def _fold(entries: list[tuple[int | None, int]], k: int, cap: int) -> int | None:
-    y: int | None = k
-    for v, c in entries:
-        if v is None or y is None:
-            return None
-        y = _iter(v, c, y, cap)
-    return y
 
 
 def _membership_bound(a: Ordinal, k: int) -> int:
     return max(4, k, coeff_measure(a)) + 1
 
 
-def in_D(a: Ordinal, k: int, coding: Coding = Coding.REPAIRED) -> MembershipReport:
+def in_D(a: Ordinal, k: int) -> MembershipReport:
     """Decide whether a is the image of some number at base k, structurally."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
     if a.is_zero:
         return MembershipReport(True, k, ((Exact(0), 0),), None)
-    _require_repaired(coding, "membership testing beyond the zero ordinal")
     bound = _membership_bound(a, k)
     try:
         entries = _skeleton(a, k, bound)
@@ -180,7 +154,7 @@ def in_D(a: Ordinal, k: int, coding: Coding = Coding.REPAIRED) -> MembershipRepo
     return MembershipReport(True, k, skel, None)
 
 
-def L_inverse(a: Ordinal, k: int, coding: Coding = Coding.REPAIRED, cap: int = 10**7) -> BoundedNat:
+def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     """The unique x >= k with o_map(x, k) = a, cutoff-aware.
 
     Raises NotInDError when no preimage exists; returns ExceedsCap when the
@@ -190,34 +164,24 @@ def L_inverse(a: Ordinal, k: int, coding: Coding = Coding.REPAIRED, cap: int = 1
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
     if a.is_zero:
         return Exact(k) if k <= cap else ExceedsCap(cap)
-    _require_repaired(coding, "inversion")
     _skeleton(a, k, _membership_bound(a, k))  # membership gate
     v = _value(a, k, cap)
     return Exact(v) if v is not None else ExceedsCap(cap)
 
 
 def _value(a: Ordinal, k: int, cap: int) -> int | None:
-    y: int | None = k
-    for e, c in a.terms:
-        if e.is_finite:
-            v: int | None = e.as_int()
-        else:
-            v = _value(left_subtract_omega(e), k, cap)
-        if v is None or y is None:
-            return None
-        y = _iter(v, c, y, cap)
-    return y
+    return fold(((e.as_int() if e.is_finite else _value(left_subtract_omega(e), k, cap), c)
+                 for e, c in a.terms), k, cap)
 
 
-def Q_pred(a: Ordinal, k: int, coding: Coding = Coding.REPAIRED, cap: int = 10**7) -> Ordinal:
+def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:
     """The largest member of D_k strictly below a; requires a in D_k, a > 0."""
-    _require_repaired(coding, "the predecessor operator")
     if a.is_zero:
         raise ValueError("the zero ordinal has no predecessor inside D_k")
-    x = L_inverse(a, k, coding, cap)
+    x = L_inverse(a, k, cap)
     if isinstance(x, ExceedsCap):
         raise CapExceededError(cap)
-    return o_map(x.value - 1, k, coding)
+    return o_map(x.value - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +208,7 @@ def profile(x: int, n: int, k: int) -> PaddedProfile:
         j[n - e - 1] = c
     m = [k]
     for q in range(1, n):  # m_{q+1} = F_{n-q}^(j_q)(m_q), all values <= x
-        nxt = _iter(n - q, j[q - 1], m[-1], x)
+        nxt = fold(((n - q, j[q - 1]),), m[-1], x)
         assert nxt is not None
         m.append(nxt)
     return PaddedProfile(n=n, base=k, j=tuple(j), m=tuple(m))

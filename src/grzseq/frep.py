@@ -20,20 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .grzeval import BoundedNat, Exact, ExceedsCap, _iter, exceeds
-from .order import Ordering
+from .grzeval import BoundedNat, Exact, ExceedsCap, exceeds, fold
+from .order import Ordering, ParseError, Scanner
 
 Pairs = tuple[tuple[int, int], ...]
 
 
 class RepError(ValueError):
     """A structurally broken representation."""
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"parse error at offset {position}: {message}")
-        self.position = position
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ def encode(x: int, k: int) -> FRep:
         e = _least_exponent(x, base)
         i = _max_iterate(e, base, x)
         pairs.append((e, i))
-        nxt = _iter(e, i, base, x)
+        nxt = fold(((e, i),), base, x)
         assert nxt is not None  # bounded by x by choice of i
         base = nxt
     return FRep(k, tuple(pairs))
@@ -176,12 +170,8 @@ def decode(r: FRep, cap: int) -> BoundedNat:
     if r.is_atom:
         v = r.body
         return Exact(v) if v <= cap else ExceedsCap(cap)
-    y = r.base
-    for e, c in r.pairs:
-        y = _iter(e, c, y, cap)
-        if y is None:
-            return ExceedsCap(cap)
-    return Exact(y)
+    y = fold(r.pairs, r.base, cap)
+    return Exact(y) if y is not None else ExceedsCap(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +205,16 @@ def compare(a: FRep, b: FRep) -> Ordering:
 def _shift_component(v: int, k: int, m: int, cap: int, hereditary: bool) -> int | None:
     if v < k:
         return v
-    r = encode(v, k)
-    y = m
-    for e, c in r.pairs:
+    return fold(_shifted_pairs(v, k, m, cap, hereditary), m, cap)
+
+
+def _shifted_pairs(v: int, k: int, m: int, cap: int, hereditary: bool):
+    # lazily, for fold: a count is shifted only once its exponent fits the cap
+    for e, c in encode(v, k).pairs:
         e2 = _shift_component(e, k, m, cap, hereditary)
-        if e2 is None:
-            return None
-        c2 = _shift_component(c, k, m, cap, hereditary) if hereditary else c
-        if c2 is None:
-            return None
-        y = _iter(e2, c2, y, cap)
-        if y is None:
-            return None
-    return y
+        if hereditary and e2 is not None:
+            c = _shift_component(c, k, m, cap, hereditary)
+        yield e2, c
 
 
 def _shift_pre(x: int, k: int, m: int) -> None:
@@ -289,7 +276,7 @@ def validate(r: FRep) -> ValidationReport:
         if chain is not None:
             if c >= chain:
                 violations.append(f"count {c} at pair {p} not below intermediate base {chain}")
-            chain = _iter(e, c, chain, maxc)
+            chain = fold(((e, c),), chain, maxc)
             # once the chain passes every count, all later bounds hold
     return ValidationReport(not violations, tuple(violations))
 
@@ -316,18 +303,14 @@ def _decode_total(t: TRep, cap: int) -> int | None:
         if not 0 <= v < t.base:
             raise RepError(f"atom value {v!r} not in [0, base {t.base})")
         return v if v <= cap else None
-    y = t.base
+    return fold(_decoded_pairs(t, cap), t.base, cap)
+
+
+def _decoded_pairs(t: TRep, cap: int):
+    # lazily, for fold: a count is decoded only once its exponent fits the cap
     for e, c in t.pairs:
         ev = _decode_total(e, cap)
-        if ev is None:
-            return None
-        cv = _decode_total(c, cap)
-        if cv is None:
-            return None
-        y = _iter(ev, cv, y, cap)
-        if y is None:
-            return None
-    return y
+        yield ev, None if ev is None else _decode_total(c, cap)
 
 
 def decode_total(t: TRep, cap: int) -> BoundedNat:
@@ -353,44 +336,13 @@ def print_rep(r: FRep | TRep) -> str:
     return "[" + ",".join(items) + "]_" + str(r.base)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, lit: str):
-        self.skip_ws()
-        if not self.text.startswith(lit, self.pos):
-            raise ParseError(f"expected {lit!r}", self.pos)
-        self.pos += len(lit)
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
-
-
-def _parse_item(s: _Scanner):
+def _parse_item(s: Scanner):
     # returns int or (pairs, base) raw tree
-    if s.peek() == "[":
-        return _parse_bracket(s)
-    return s.nat()
+    return _parse_bracket(s) if s.take("[") else s.nat()
 
 
-def _parse_bracket(s: _Scanner):
-    s.expect("[")
+def _parse_bracket(s: Scanner):
+    # the opening "[" is already consumed
     pairs = []
     while True:
         s.expect("(")
@@ -399,10 +351,8 @@ def _parse_bracket(s: _Scanner):
         c = _parse_item(s)
         s.expect(")")
         pairs.append((e, c))
-        if s.peek() == ",":
-            s.expect(",")
-            continue
-        break
+        if not s.take(","):
+            break
     s.expect("]_")
     base = s.nat()
     return pairs, base
@@ -429,25 +379,16 @@ def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
     their base in the ``]_k`` suffix.  The result is an FRep when every item
     is a plain number and a TRep when any item nests.
     """
-    s = _Scanner(text)
-    s.skip_ws()
-    if s.peek() == "[":
-        raw = _parse_bracket(s)
-        s.skip_ws()
-        if s.pos != len(s.text):
-            raise ParseError("trailing input", s.pos)
-        if _raw_is_flat(raw):
-            pairs, b = raw
-            return FRep(b, tuple(pairs))
-        return _raw_to_trep(raw)
-    v = s.nat()
-    s.skip_ws()
-    if s.pos != len(s.text):
-        raise ParseError("trailing input", s.pos)
-    b = base if base is not None else max(2, v + 1)
-    if v >= b:
-        raise ParseError(f"atom {v} not below base {b}", 0)
-    return FRep(b, v)
+    raw = Scanner(text).parse(_parse_item)
+    if isinstance(raw, int):
+        b = base if base is not None else max(2, raw + 1)
+        if raw >= b:
+            raise ParseError(f"atom {raw} not below base {b}", 0)
+        return FRep(b, raw)
+    if _raw_is_flat(raw):
+        pairs, b = raw
+        return FRep(b, tuple(pairs))
+    return _raw_to_trep(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ values that fit under the cap, never by the size of the true value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,9 @@ def _eval(n: int, x: int, cap: int) -> int | None:
     # F_n(x) >= F_2(x) for n >= 2, x >= 2 (strictly increasing in n).
     if _f2(x, cap) is None:
         return None
-    if n >= 4 and cap.bit_length() <= 2048:
-        # F_n(x) >= F_4(2) = F_3(2048) >= 2^2048 for x >= 2.
+    if n >= 4:
+        # F_n(x) >= F_4(2) = F_3(2048) >= F_2(F_2(2048)), which has more than
+        # 2^2059 bits, so it exceeds every cap that fits in memory.
         return None
     return _iter(n - 1, x, x, cap)
 
@@ -103,6 +105,24 @@ def _iter(n: int, i: int, x: int, cap: int) -> int | None:
         if y is None:
             return None
         i -= 1
+    return y
+
+
+def fold(pairs: Iterable[tuple[int | None, int | None]], base: int, cap: int) -> int | None:
+    """F_{e_l}^(c_l)( ... F_{e_1}^(c_1)(base) ... ) for pairs (e_1,c_1),...,(e_l,c_l),
+    or None when the value exceeds cap.
+
+    A None exponent or count stands for a component already above cap and
+    makes the whole fold None.  Pairs are consumed lazily: nothing after the
+    first over-cap component is read.
+    """
+    y: int | None = base
+    for e, c in pairs:
+        if e is None or c is None:
+            return None
+        y = _iter(e, c, y, cap)
+        if y is None:
+            return None
     return y
 
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .order import Ordering
+from .order import Ordering, Scanner
 
 
 @total_ordering
@@ -166,46 +166,14 @@ def print_ordinal(a: Ordinal) -> str:
     return "+".join(parts)
 
 
-class _OrdScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ValueError(f"expected a number at offset {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
-
-
-def _parse_term(s: _OrdScanner) -> Ordinal:
+def _parse_term(s: Scanner) -> Ordinal:
     if s.take("w"):
         exp = ONE
         if s.take("^"):
             if s.take("("):
                 exp = _parse_sum(s)
-                if not s.take(")"):
-                    raise ValueError(f"missing ')' at offset {s.pos} in {s.text!r}")
-            elif s.peek() == "w":
-                s.take("w")
+                s.expect(")")
+            elif s.take("w"):
                 exp = OMEGA  # w^w sugar
             else:
                 exp = from_int(s.nat())
@@ -216,7 +184,7 @@ def _parse_term(s: _OrdScanner) -> Ordinal:
     return from_int(s.nat())
 
 
-def _parse_sum(s: _OrdScanner) -> Ordinal:
+def _parse_sum(s: Scanner) -> Ordinal:
     total = _parse_term(s)
     while s.take("+"):
         total = add(total, _parse_term(s))
@@ -224,12 +192,8 @@ def _parse_sum(s: _OrdScanner) -> Ordinal:
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    s = _OrdScanner(text)
-    total = _parse_sum(s)
-    s.skip_ws()
-    if s.pos != len(s.text):
-        raise ValueError(f"trailing input at offset {s.pos} in {text!r}")
-    return total
+    """Parse the text form; malformed or too deeply nested text raises ParseError."""
+    return Scanner(text).parse(_parse_sum)
 
 
 def ordinal_to_json(a: Ordinal) -> list:

@@ -20,7 +20,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .correspond import Coding, L_inverse, Q_pred, in_D, o_map
+from .correspond import L_inverse, Q_pred, in_D, o_map
 from .frep import FRep, TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
 from .order import Ordering
@@ -121,7 +121,7 @@ def run(
             rep = None
         else:
             rep = to_total(v, base) if hereditary else encode(v, base)
-            shadow = o_map(v, base, Coding.REPAIRED) if with_shadow else None
+            shadow = o_map(v, base) if with_shadow else None
             steps.append(TraceStep(k, base, Exact(v), rep, shadow, Phase.REPRESENTATION))
         if len(steps) > max_steps:
             outcome = Outcome("step_limit", k)
@@ -151,7 +151,7 @@ def shadow_check(t: Trace) -> CheckReport:
     for s in rep_steps:
         if s.shadow is None:
             continue
-        if not in_D(s.shadow, s.base, Coding.REPAIRED).member:
+        if not in_D(s.shadow, s.base).member:
             violations.append(f"k={s.k}: shadow {s.shadow} not in D_{s.base}")
     for s1, s2 in zip(rep_steps, rep_steps[1:]):
         if s1.shadow is None or s2.shadow is None or s2.k != s1.k + 1:
@@ -162,7 +162,7 @@ def shadow_check(t: Trace) -> CheckReport:
                 f"k={s1.k}->{s2.k}: shadow did not descend ({s1.shadow} then {s2.shadow})"
             )
         try:
-            expected = Q_pred(s1.shadow, s2.base, Coding.REPAIRED, t.cap)
+            expected = Q_pred(s1.shadow, s2.base, t.cap)
         except CapExceededError:
             skipped += 1
             continue
@@ -184,13 +184,13 @@ def dominate_check(gammas: list[Ordinal], cap: int = 10**7) -> DominationReport:
         if compare(b, a) != Ordering.LT:
             raise ValueError(f"chain not strictly descending at {a} then {b}")
     for k, a in enumerate(gammas):
-        report = in_D(a, 2 + k, Coding.REPAIRED)
+        report = in_D(a, 2 + k)
         if not report.member:
             raise ValueError(f"entry {k} ({a}) is not in D_{2 + k}: {report.reason}")
     if not gammas:
         return DominationReport(True, (), (), ())
 
-    v0 = L_inverse(gammas[0], 2, Coding.REPAIRED, cap)
+    v0 = L_inverse(gammas[0], 2, cap)
     if isinstance(v0, ExceedsCap):
         raise CapExceededError(cap)
     trace = run(v0.value, hereditary=False, cap=cap, max_steps=len(gammas) + 1)
@@ -199,7 +199,7 @@ def dominate_check(gammas: list[Ordinal], cap: int = 10**7) -> DominationReport:
     skipped: list[int] = []
     violations: list[str] = []
     for k, a in enumerate(gammas):
-        vk = L_inverse(a, 2 + k, Coding.REPAIRED, cap)
+        vk = L_inverse(a, 2 + k, cap)
         if k < len(trace.steps):
             zk: BoundedNat = trace.steps[k].value
         elif trace.outcome.kind == "terminated":

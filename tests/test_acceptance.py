@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from grzseq.correspond import Coding, L_inverse, Q_pred, flip, g, o_map, profile
+from grzseq.correspond import L_inverse, Q_pred, flip, g, o_map, o_map_literal, profile
 from grzseq.frep import compare as rep_compare
 from grzseq.frep import decode, encode, shift_value
 from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds
@@ -20,8 +20,6 @@ from grzseq.seq import dominate_check, run, shadow_check
 from grzseq.slowdown import chain_to_text, compress, verify_slow
 
 CAP = 10**7
-R = Coding.REPAIRED
-L = Coding.LITERAL
 
 
 def _report(num, name, detail):
@@ -70,14 +68,14 @@ def test_acceptance_02_order_isomorphism():
 def test_acceptance_03_ordinal_monotonicity():
     checked = 0
     for k in (2, 3):
-        prev = o_map(k, k, R)
+        prev = o_map(k, k)
         for x in range(k + 1, 10001):
-            cur = o_map(x, k, R)
+            cur = o_map(x, k)
             assert compare(prev, cur) == Ordering.LT, f"x={x} k={k}"
             prev = cur
             checked += 1
     # companion regression: the literal coding breaks at (4, 9) with base 2
-    lit4, lit9 = o_map(4, 2, L), o_map(9, 2, L)
+    lit4, lit9 = o_map_literal(4, 2), o_map_literal(9, 2)
     assert lit4 == parse_ordinal("w") and lit9 == from_int(2)
     assert compare(lit4, lit9) == Ordering.GT
     _report(3, "ordinal monotonicity", f"{checked} ascents, literal counterexample reproduced")
@@ -91,7 +89,7 @@ def test_acceptance_04_shift_invariance():
             if isinstance(shifted, ExceedsCap):
                 skipped += 1
                 continue
-            assert o_map(shifted.value, k + 1, R) == o_map(x, k, R), f"x={x} k={k}"
+            assert o_map(shifted.value, k + 1) == o_map(x, k), f"x={x} k={k}"
             checked += 1
     _report(4, "base-shift invariance", f"{checked} identities, {skipped} above cap")
 
@@ -100,11 +98,11 @@ def test_acceptance_05_inversion_and_predecessor():
     inversions = 0
     for k in (2, 3):
         for x in range(k, 10001):
-            assert L_inverse(o_map(x, k, R), k, R, CAP) == Exact(x), f"x={x} k={k}"
+            assert L_inverse(o_map(x, k), k, CAP) == Exact(x), f"x={x} k={k}"
             inversions += 1
     q_checked = 0
     for k in (2, 3):
-        images = [o_map(x, k, R) for x in range(k, 2001)]
+        images = [o_map(x, k) for x in range(k, 2001)]
         for idx in range(1, len(images)):
             a = images[idx]
             best = None  # brute force over the preimages below this one
@@ -113,7 +111,7 @@ def test_acceptance_05_inversion_and_predecessor():
                     best is None or compare(b, best) == Ordering.GT
                 ):
                     best = b
-            assert Q_pred(a, k, R, CAP) == best, f"idx={idx} k={k}"
+            assert Q_pred(a, k, CAP) == best, f"idx={idx} k={k}"
             q_checked += 1
     _report(5, "inversion and predecessor", f"{inversions} inversions, {q_checked} Q values")
 

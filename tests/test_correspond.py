@@ -5,8 +5,6 @@ import itertools
 import pytest
 
 from grzseq.correspond import (
-    Coding,
-    CodingError,
     L_inverse,
     NotInDError,
     Q_pred,
@@ -14,6 +12,7 @@ from grzseq.correspond import (
     g,
     in_D,
     o_map,
+    o_map_literal,
     profile,
 )
 from grzseq.frep import shift_value
@@ -34,44 +33,42 @@ from grzseq.ordinals import (
 )
 
 CAP = 10**7
-R = Coding.REPAIRED
-L = Coding.LITERAL
 
 
 def test_o_map_of_base_is_zero():
     for k in (2, 3, 5):
-        assert o_map(k, k, R) == ZERO
-        assert o_map(k, k, L) == ZERO
+        assert o_map(k, k) == ZERO
+        assert o_map_literal(k, k) == ZERO
 
 
 def test_o_map_examples_repaired():
-    assert o_map(4, 2, R) == OMEGA
-    assert o_map(9, 2, R) == add(omega_pow(OMEGA), from_int(1))
+    assert o_map(4, 2) == OMEGA
+    assert o_map(9, 2) == add(omega_pow(OMEGA), from_int(1))
 
 
 def test_o_map_examples_literal():
-    assert o_map(4, 2, L) == OMEGA
-    assert o_map(9, 2, L) == from_int(2)
+    assert o_map_literal(4, 2) == OMEGA
+    assert o_map_literal(9, 2) == from_int(2)
 
 
 def test_literal_monotonicity_failure_pinned():
     # 4 < 9 but o_2(4) = w > 2 = o_2(9) under the literal reading
-    a, b = o_map(4, 2, L), o_map(9, 2, L)
+    a, b = o_map_literal(4, 2), o_map_literal(9, 2)
     assert compare(a, b) == Ordering.GT
 
 
 def test_o_map_rejects_below_base():
     with pytest.raises(ValueError):
-        o_map(1, 2, R)
+        o_map(1, 2)
     with pytest.raises(ValueError):
-        o_map(5, 1, R)
+        o_map(5, 1)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_repaired_strictly_monotone(k):
     prev = None
     for x in range(k, 2001):
-        cur = o_map(x, k, R)
+        cur = o_map(x, k)
         if prev is not None:
             assert compare(prev, cur) == Ordering.LT, f"x={x}"
         prev = cur
@@ -80,30 +77,21 @@ def test_repaired_strictly_monotone(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_inverse_of_o_map(k):
     for x in range(k, 2001):
-        assert L_inverse(o_map(x, k, R), k, R, CAP) == Exact(x)
+        assert L_inverse(o_map(x, k), k, CAP) == Exact(x)
 
 
 def test_L_examples():
-    assert L_inverse(ZERO, 5, R, 100) == Exact(5)
-    assert L_inverse(OMEGA, 2, R, 100) == Exact(4)
+    assert L_inverse(ZERO, 5, 100) == Exact(5)
+    assert L_inverse(OMEGA, 2, 100) == Exact(4)
     with pytest.raises(NotInDError):
-        L_inverse(omega_pow(from_int(2)), 2, R, 100)
+        L_inverse(omega_pow(from_int(2)), 2, 100)
 
 
 def test_L_cap_overflow():
     # w^(w*2) decodes to F_4(2), far over any desk cap
     big = omega_pow(parse_ordinal("w*2"))
-    out = L_inverse(big, 2, R, CAP)
+    out = L_inverse(big, 2, CAP)
     assert not isinstance(out, Exact)
-
-
-def test_literal_inversion_refused():
-    with pytest.raises(CodingError):
-        L_inverse(OMEGA, 2, L, 100)
-    with pytest.raises(CodingError):
-        Q_pred(OMEGA, 2, L, 100)
-    with pytest.raises(CodingError):
-        in_D(OMEGA, 2, L)
 
 
 # ---------------------------------------------------------------------------
@@ -111,36 +99,35 @@ def test_literal_inversion_refused():
 
 
 def test_in_D_examples():
-    rep = in_D(omega_pow(OMEGA), 2, R)
+    rep = in_D(omega_pow(OMEGA), 2)
     assert rep.member
     assert rep.skeleton == ((Exact(2), 1),)  # preimage F_2(2) = 8
-    assert not in_D(omega_pow(from_int(2)), 2, R).member
-    assert in_D(ZERO, 2, R).member
-    assert in_D(ZERO, 2, L).member  # the zero row holds under either coding
+    assert not in_D(omega_pow(from_int(2)), 2).member
+    assert in_D(ZERO, 2).member
 
 
 def test_in_D_rejects_oversized_counts():
-    assert not in_D(omega_pow(ONE, 2), 2, R).member  # leading count 2 >= base
-    assert not in_D(from_int(5), 3, R).member  # finite members stop at base-1
-    assert in_D(from_int(2), 3, R).member
+    assert not in_D(omega_pow(ONE, 2), 2).member  # leading count 2 >= base
+    assert not in_D(from_int(5), 3).member  # finite members stop at base-1
+    assert in_D(from_int(2), 3).member
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_in_D_accepts_every_image(k):
     for x in range(k, 3001):
-        assert in_D(o_map(x, k, R), k, R).member, f"x={x}"
+        assert in_D(o_map(x, k), k).member, f"x={x}"
 
 
 def test_in_D_structural_on_huge_preimages():
     # towers of any height are images without materializing the value
     for h in range(1, 8):
-        assert in_D(omega_tower(h), 2, R).member
+        assert in_D(omega_tower(h), 2).member
 
 
 def test_images_embed_into_the_next_base():
     for k in (2, 3):
         for x in range(k, 400):
-            assert in_D(o_map(x, k, R), k + 1, R).member
+            assert in_D(o_map(x, k), k + 1).member
 
 
 def _gen_bounded(k: int, depth: int, max_len: int = 2):
@@ -165,7 +152,7 @@ def _gen_bounded(k: int, depth: int, max_len: int = 2):
 def test_coefficient_bounded_terms_are_members(k):
     for a in _gen_bounded(k, depth=3):
         assert coeff_measure(a) <= k - 1
-        assert in_D(a, k, R).member, f"a={a} k={k}"
+        assert in_D(a, k).member, f"a={a} k={k}"
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +160,35 @@ def test_coefficient_bounded_terms_are_members(k):
 
 
 def test_Q_examples():
-    assert Q_pred(from_int(1), 2, R, 100) == ZERO
-    assert Q_pred(OMEGA, 2, R, 100) == from_int(1)
+    assert Q_pred(from_int(1), 2, 100) == ZERO
+    assert Q_pred(OMEGA, 2, 100) == from_int(1)
     # L(w^w) = 8 and o_2(7) = w + 3 (7 = [(1,1),(0,3)]_2), verified below by
     # exhaustive enumeration
-    assert Q_pred(omega_pow(OMEGA), 2, R, 100) == parse_ordinal("w+3")
+    assert Q_pred(omega_pow(OMEGA), 2, 100) == parse_ordinal("w+3")
 
 
 def test_Q_rejects_zero_and_nonmembers():
     with pytest.raises(ValueError):
-        Q_pred(ZERO, 2, R, 100)
+        Q_pred(ZERO, 2, 100)
     with pytest.raises(NotInDError):
-        Q_pred(omega_pow(from_int(2)), 2, R, 100)
+        Q_pred(omega_pow(from_int(2)), 2, 100)
 
 
 def test_Q_cap_overflow():
     with pytest.raises(CapExceededError):
-        Q_pred(omega_pow(parse_ordinal("w*2")), 2, R, CAP)
+        Q_pred(omega_pow(parse_ordinal("w*2")), 2, CAP)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_Q_matches_brute_force_max(k):
-    images = [o_map(x, k, R) for x in range(k, 600)]
+    images = [o_map(x, k) for x in range(k, 600)]
     for idx in range(1, len(images)):
         a = images[idx]
         best = None
         for b in images:  # brute force: the largest image strictly below a
             if compare(b, a) == Ordering.LT and (best is None or compare(b, best) == Ordering.GT):
                 best = b
-        assert Q_pred(a, k, R, CAP) == best
+        assert Q_pred(a, k, CAP) == best
 
 
 # ---------------------------------------------------------------------------
@@ -302,4 +289,4 @@ def test_shift_invariance(k):
         shifted = shift_value(x, k, k + 1, CAP)
         if not isinstance(shifted, Exact):
             continue
-        assert o_map(shifted.value, k + 1, R) == o_map(x, k, R), f"x={x}"
+        assert o_map(shifted.value, k + 1) == o_map(x, k), f"x={x}"

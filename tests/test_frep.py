@@ -238,6 +238,14 @@ def test_total_roundtrip_pinned():
     assert decode_total(to_total(100, 3), 10**6) == Exact(100)
 
 
+def test_decode_total_stops_at_an_over_cap_exponent():
+    # the count after an over-cap exponent is never decoded, so its broken
+    # atom (5 is not below base 2) goes unread
+    assert decode_total(TRep(2, ((to_total(10**6, 2), TRep(2, 5)),)), 100) == ExceedsCap(100)
+    with pytest.raises(RepError):
+        decode_total(TRep(2, ((TRep(2, 1), TRep(2, 5)),)), 100)
+
+
 # ---------------------------------------------------------------------------
 # Text and JSON forms
 
@@ -278,6 +286,8 @@ def test_parse_trailing_garbage():
         parse_rep("[(1,1)]_2 x")
     with pytest.raises(ParseError):
         parse_rep("12 7")
+    with pytest.raises(ParseError):  # nested past the recursion limit
+        parse_rep("[(" * 1500 + "0" + ",1)]_2" * 1500)
 
 
 def test_json_roundtrip():

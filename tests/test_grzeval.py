@@ -2,7 +2,7 @@
 
 import pytest
 
-from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds, in_relation_R
+from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds, fold, in_relation_R
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,24 @@ def test_iter_matches_naive_under_cap(n, i, x, cap):
         assert got == Exact(truth)
     else:
         assert got == ExceedsCap(cap)
+    # a one-pair fold is the same iterate
+    assert fold([(n, i)], x, cap) == (truth if truth <= cap else None)
+
+
+def test_fold_composes_iterates_and_propagates_none():
+    # [(2,1),(0,3)] over 2 is F_0^(3)(F_2(2)) = 11
+    truth = naive_F_iter(0, 3, naive_F_iter(2, 1, 2))
+    assert fold([(2, 1), (0, 3)], 2, 100) == truth == 11
+    assert fold([(2, 1), (0, 3)], 2, 10) is None
+    # a None component means "already above cap" and sinks the whole fold
+    assert fold([(None, 1), (0, 1)], 2, 100) is None
+    assert fold([(1, 1), (0, None)], 2, 100) is None
+
+    def pairs_then_fail():
+        yield None, 1
+        raise AssertionError("fold read past an over-cap component")
+
+    assert fold(pairs_then_fail(), 2, 100) is None
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +143,9 @@ def test_huge_iterate_counts_terminate():
 
 def test_large_n_small_cap():
     assert eval_F(50, 2, 10**9) == ExceedsCap(10**9)
+    # F_n(2) >= F_4(2) has more than 2^2059 bits, whatever the cap's size
+    assert eval_F(2000, 2, 2**5000) == ExceedsCap(2**5000)
+    assert eval_F(1000, 2, 2**3000) == ExceedsCap(2**3000)
     assert eval_F(50, 1, 10**9) == Exact(2)
     assert eval_F(50, 0, 10**9) == Exact(0)
 

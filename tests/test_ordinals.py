@@ -6,7 +6,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from grzseq.order import Ordering
+from grzseq.order import Ordering, ParseError
 from grzseq.ordinals import (
     OMEGA,
     ONE,
@@ -187,6 +187,8 @@ def test_parse_rejects_garbage():
         parse_ordinal("3w")
     with pytest.raises(ValueError):
         parse_ordinal("")
+    with pytest.raises(ParseError):  # nested past the recursion limit
+        parse_ordinal("w^(" * 1500 + "1" + ")" * 1500)
 
 
 def test_print_parse_roundtrip():

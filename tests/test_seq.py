@@ -2,7 +2,7 @@
 
 import pytest
 
-from grzseq.correspond import Coding, o_map
+from grzseq.correspond import o_map
 from grzseq.frep import rep_from_json
 from grzseq.grzeval import Exact, ExceedsCap
 from grzseq.ordinals import ZERO, OMEGA, from_int, omega_pow, ordinal_from_json, parse_ordinal
@@ -132,7 +132,7 @@ def test_shadow_check_detects_corruption():
         target.base,
         Exact(bumped),
         target.rep,
-        o_map(bumped, target.base, Coding.REPAIRED),
+        o_map(bumped, target.base),
         Phase.REPRESENTATION,
     )
     corrupted = Trace(t.start, t.hereditary, t.cap, tuple(steps), t.outcome)
