@@ -377,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RepError, ValueError) as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_REJECTED
+    except RecursionError:  # output nested deeper than the printers can recurse
+        print("grzseq: nesting too deep", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -107,8 +107,9 @@ def o_map_literal(x: int, k: int) -> Ordinal:
 # leaves the bound, so membership never materializes the full preimage).
 
 
-def _skeleton(a: Ordinal, k: int, bound: int) -> list[tuple[int | None, int]]:
-    """Decode to [(value-or-None, count)] with None meaning "above bound".
+def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, int]], int | None]:
+    """Decode to [(value-or-None, count)] with None meaning "above bound",
+    together with a's own value (the final intermediate base, None above bound).
 
     Raises NotInDError when the ordinal has no preimage at base k.
     """
@@ -120,8 +121,7 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> list[tuple[int | None, int]]:
                 raise NotInDError(k, f"finite exponent {v} not below base {k}")
             entries.append((v, c))
         else:
-            inner = _skeleton(left_subtract_omega(e), k, bound)
-            entries.append((fold(inner, k, bound), c))
+            entries.append((_skeleton(left_subtract_omega(e), k, bound)[1], c))
     # count bounds against the intermediate-base chain
     chain: int | None = k
     for p, (v, c) in enumerate(entries, start=1):
@@ -130,7 +130,7 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> list[tuple[int | None, int]]:
         if c >= chain:
             raise NotInDError(k, f"count {c} at position {p} not below intermediate base {chain}")
         chain = fold(((v, c),), chain, bound)
-    return entries
+    return entries, chain
 
 
 def _membership_bound(a: Ordinal, k: int) -> int:
@@ -145,7 +145,7 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
         return MembershipReport(True, k, ((Exact(0), 0),), None)
     bound = _membership_bound(a, k)
     try:
-        entries = _skeleton(a, k, bound)
+        entries, _ = _skeleton(a, k, bound)
     except NotInDError as err:
         return MembershipReport(False, k, None, err.reason)
     skel = tuple(
@@ -162,16 +162,8 @@ def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if a.is_zero:
-        return Exact(k) if k <= cap else ExceedsCap(cap)
-    _skeleton(a, k, _membership_bound(a, k))  # membership gate
-    v = _value(a, k, cap)
-    return Exact(v) if v is not None else ExceedsCap(cap)
-
-
-def _value(a: Ordinal, k: int, cap: int) -> int | None:
-    return fold(((e.as_int() if e.is_finite else _value(left_subtract_omega(e), k, cap), c)
-                 for e, c in a.terms), k, cap)
+    _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
+    return Exact(v) if v is not None and v <= cap else ExceedsCap(cap)
 
 
 def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:

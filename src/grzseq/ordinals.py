@@ -14,27 +14,41 @@ measure C.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import dataclass, field
 
 from .order import Ordering, Scanner
 
+# Key markers: CLOSE < OPEN < every coefficient.
+OPEN, CLOSE = 0, -1
 
-@total_ordering
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class Ordinal:
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    """Order, equality, hashing and C all come from ``key``, the flat token
+    tuple (OPEN, *e_1.key, c_1, ..., *e_m.key, c_m, CLOSE).  Where two keys
+    first differ is inside two exponents, at two coefficients of equal
+    exponents, or at the CLOSE of a shorter term list against the OPEN of a
+    further term, so lexicographic key order is CNF order.  Each node holds
+    its own key, built once from its children's: O(subtree size) per node."""
+
+    terms: tuple[tuple["Ordinal", int], ...] = field(default=(), compare=False)
+    key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        key = [OPEN]
         prev = None
         for e, c in self.terms:
             if not isinstance(e, Ordinal):
                 raise ValueError(f"exponent {e!r} is not an Ordinal")
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"coefficient {c!r} must be a positive integer")
-            if prev is not None and compare(prev, e) != Ordering.GT:
+            if prev is not None and prev.key <= e.key:
                 raise ValueError("exponents must be strictly decreasing")
+            key += e.key
+            key.append(c)
             prev = e
+        key.append(CLOSE)
+        object.__setattr__(self, "key", tuple(key))
 
     @property
     def is_zero(self) -> bool:
@@ -48,9 +62,6 @@ class Ordinal:
         if not self.is_finite:
             raise ValueError(f"{self} is infinite")
         return self.terms[0][1] if self.terms else 0
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) == Ordering.LT
 
     def __str__(self) -> str:
         return print_ordinal(self)
@@ -76,45 +87,25 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
 
 
 def compare(a: Ordinal, b: Ordinal) -> Ordering:
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        ec = compare(ea, eb)
-        if ec != Ordering.EQ:
-            return ec
-        if ca != cb:
-            return Ordering.LT if ca < cb else Ordering.GT
-    la, lb = len(a.terms), len(b.terms)
-    return Ordering.from_cmp((la > lb) - (la < lb))
+    return Ordering.from_cmp((a.key > b.key) - (a.key < b.key))
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal addition: terms of a below b's leading exponent are absorbed."""
     if b.is_zero:
         return a
-    if a.is_zero:
-        return b
-    lead = b.terms[0][0]
-    kept = []
-    merged_head: tuple[Ordinal, int] | None = None
-    for e, c in a.terms:
-        rel = compare(e, lead)
-        if rel == Ordering.GT:
-            kept.append((e, c))
-        elif rel == Ordering.EQ:
-            merged_head = (lead, c + b.terms[0][1])
-            break
-        else:
-            break
-    if merged_head is not None:
-        return Ordinal(tuple(kept) + (merged_head,) + b.terms[1:])
-    return Ordinal(tuple(kept) + b.terms)
+    (lead, c), rest = b.terms[0], b.terms[1:]
+    i = 0
+    while i < len(a.terms) and a.terms[i][0] > lead:
+        i += 1
+    if i < len(a.terms) and a.terms[i][0] == lead:
+        c += a.terms[i][1]
+    return Ordinal(a.terms[:i] + ((lead, c),) + rest)
 
 
 def coeff_measure(a: Ordinal) -> int:
     """C(a): the largest coefficient occurring hereditarily; C(0) = 0."""
-    best = 0
-    for e, c in a.terms:
-        best = max(best, c, coeff_measure(e))
-    return best
+    return max(a.key)  # markers are <= 0
 
 
 def mul_omega_omega(a: Ordinal) -> Ordinal:
@@ -137,7 +128,7 @@ def left_subtract_omega(e: Ordinal) -> Ordinal:
     if e.is_finite:
         raise ValueError(f"{e} is below w, nothing to subtract")
     (lead, c), rest = e.terms[0], e.terms[1:]
-    if compare(lead, ONE) == Ordering.GT:
+    if lead > ONE:
         return e  # the leading term already absorbs a left w
     # lead == ONE: peel one copy of w
     if c > 1:

@@ -17,14 +17,12 @@ symbolic description of the offending shift.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 from .correspond import L_inverse, Q_pred, in_D, o_map
 from .frep import FRep, TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
-from .order import Ordering
-from .ordinals import Ordinal, compare, ordinal_to_json
+from .ordinals import Ordinal, ordinal_to_json
 
 
 class Phase(enum.Enum):
@@ -157,7 +155,7 @@ def shadow_check(t: Trace) -> CheckReport:
         if s1.shadow is None or s2.shadow is None or s2.k != s1.k + 1:
             continue
         checked += 1
-        if compare(s2.shadow, s1.shadow) != Ordering.LT:
+        if not s2.shadow < s1.shadow:
             violations.append(
                 f"k={s1.k}->{s2.k}: shadow did not descend ({s1.shadow} then {s2.shadow})"
             )
@@ -181,7 +179,7 @@ def dominate_check(gammas: list[Ordinal], cap: int = 10**7) -> DominationReport:
     anything else is rejected outright.
     """
     for a, b in zip(gammas, gammas[1:]):
-        if compare(b, a) != Ordering.LT:
+        if not b < a:
             raise ValueError(f"chain not strictly descending at {a} then {b}")
     for k, a in enumerate(gammas):
         report = in_D(a, 2 + k)
@@ -247,7 +245,3 @@ def trace_to_json(t: Trace) -> dict:
     if t.overflow_desc is not None:
         out["overflow"] = t.overflow_desc
     return out
-
-
-def trace_to_json_text(t: Trace) -> str:
-    return json.dumps(trace_to_json(t), indent=2)

@@ -24,14 +24,13 @@ from typing import Iterable, Sequence
 
 from .correspond import g as rank_g
 from .grzeval import exceeds
-from .order import Ordering
 from .ordinals import (
+    ONE,
     Ordinal,
     add,
     coeff_measure,
-    compare,
     mul_omega_omega,
-    omega_tower,
+    omega_pow,
     parse_ordinal,
     print_ordinal,
 )
@@ -67,7 +66,7 @@ def _validate_chain(alphas: Sequence[Ordinal]) -> None:
         raise ValueError("chain must hold at least one entry")
     # strict descent already forces any zero to the last slot
     for i, (a, b) in enumerate(zip(alphas, alphas[1:])):
-        if compare(b, a) != Ordering.LT:
+        if not b < a:
             raise ValueError(f"chain not strictly descending at entries {i}, {i + 1}")
 
 
@@ -95,12 +94,15 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
 
     ell = max(c, measures[0])
     target = mul_omega_omega(alphas[0])
-    t = 0
-    while compare(omega_tower(t), target) != Ordering.GT:
-        t += 1
+    tower, t = ONE, 0
+    while tower <= target:
+        tower, t = omega_pow(tower), t + 1
     height = ell + t  # N minimal with w_{N-ell} > w^w * a_0
-
-    entries: list[Ordinal] = [omega_tower(height - i) for i in range(ell)]
+    entries: list[Ordinal] = []
+    for _ in range(ell):  # w_{N-ell+1}, ..., w_N, one w^ step each
+        tower = omega_pow(tower)
+        entries.append(tower)
+    entries.reverse()
     cums = []
     acc = 0
     for m in measures:
@@ -128,7 +130,7 @@ def verify_slow(s: SlowChain | Iterable[Ordinal]) -> SlowReport:
     entries = tuple(s.entries) if isinstance(s, SlowChain) else tuple(s)
     violations: list[str] = []
     for i, (a, b) in enumerate(zip(entries, entries[1:])):
-        if compare(b, a) != Ordering.LT:
+        if not b < a:
             violations.append(f"entries {i} and {i + 1} do not descend")
     for i, a in enumerate(entries):
         m = coeff_measure(a)

@@ -137,6 +137,13 @@ def test_ord_C_bad_term_is_usage(capsys):
     assert code == 2 and "nesting too deep" in err and "Traceback" not in err
 
 
+def test_chain_output_too_deep_to_print_is_usage(capsys, tmp_path):
+    src = tmp_path / "chain.txt"
+    src.write_text("w*2\nw\n1\n0\n", encoding="utf-8")
+    code, _, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", "1200")
+    assert code == 2 and "nesting too deep" in err and "Traceback" not in err
+
+
 def test_ord_inD(capsys):
     code, out, _ = invoke(capsys, "ord", "inD", "w^w", "--base", "2")
     assert code == 0 and out.strip() == "member"

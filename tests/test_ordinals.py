@@ -80,6 +80,34 @@ def test_sorting_is_consistent():
         assert compare(a, b) == Ordering.LT
 
 
+def test_key_order_matches_recursive_reference():
+    def reference(a: Ordinal, b: Ordinal) -> Ordering:
+        # term-by-term CNF comparison, recursing into exponents
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+            ec = reference(ea, eb)
+            if ec != Ordering.EQ:
+                return ec
+            if ca != cb:
+                return Ordering.LT if ca < cb else Ordering.GT
+        la, lb = len(a.terms), len(b.terms)
+        return Ordering.from_cmp((la > lb) - (la < lb))
+
+    for a, b in itertools.product(SMALL, repeat=2):
+        ref = reference(a, b)
+        assert compare(a, b) == ref
+        lt, eq = ref == Ordering.LT, ref == Ordering.EQ
+        assert (a < b, a == b, a <= b) == (lt, eq, lt or eq)
+
+
+def test_deep_towers_compare_hash_and_measure():
+    lo, hi = omega_tower(1499), omega_tower(1500)
+    assert lo < hi and not hi <= lo
+    assert compare(hi, lo) == Ordering.GT
+    assert hi == omega_pow(lo) and hi != lo
+    assert hash(hi) == hash(omega_pow(lo))
+    assert coeff_measure(hi) == 1
+
+
 def test_add_examples():
     # absorption of the finite tail: (w^2 + 3) + w = w^2 + w
     lhs = add(add(omega_pow(from_int(2)), from_int(3)), OMEGA)

@@ -113,6 +113,13 @@ def test_compress_singleton_zero():
     assert out.note is not None  # tower prefix only, nothing to decompose
 
 
+def test_compress_long_tower_prefix():
+    out = compress([O("w*2"), O("w"), O("1"), O("0")], n=2, c=1200)
+    assert (out.tower_prefix_len, out.tower_height_base) == (1200, 1203)
+    report = verify_slow(out)
+    assert report.ok, report.violations
+
+
 @pytest.mark.parametrize("alphas,n,c", CORPUS)
 def test_compress_passes_verifier(alphas, n, c):
     out = compress(alphas, n, c)
