@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .grzeval import BoundedNat, Exact, ExceedsCap, exceeds, fold
+from .grzeval import BoundedNat, Exact, ExceedsCap, fold
 from .order import Ordering, ParseError, Scanner
 
 Pairs = tuple[tuple[int, int], ...]
@@ -94,26 +94,23 @@ class ValidationReport:
 # Encoding
 
 
-def _least_exponent(x: int, base: int) -> int:
-    # least e with x < F_{e+1}(base); terminates since F_e(base) >= base + e
-    e = 0
-    while not exceeds(e + 1, 1, base, x):
+def _step(x: int, base: int) -> tuple[int, int, int]:
+    # for 2 <= base < x: the least e with x < F_{e+1}(base), the largest i
+    # with F_e^(i)(base) <= x, and F_e^(i)(base)
+    if x < 2 * base:
+        return 0, x - base, x
+    # base >= bitlen(x) gives F_2(base) >= 2^base > x without building base << base
+    if base >= x.bit_length() or x < base << base:
+        i = (x // base).bit_length() - 1
+        return 1, i, base << i
+    e = 2
+    while fold(((e + 1, 1),), base, x) is not None:
         e += 1
-    return e
-
-
-def _max_iterate(e: int, base: int, x: int) -> int:
-    # largest i with F_e^(i)(base) <= x, given F_e(base) <= x; gallop + bisect
-    lo, hi = 1, 2
-    while not exceeds(e, hi, base, x):
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exceeds(e, mid, base, x):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    # F_e(y) >= 2^y for e >= 2, so there are at most about log* x steps
+    i, y = 0, base
+    while (nxt := fold(((e, 1),), y, x)) is not None:
+        i, y = i + 1, nxt
+    return e, i, y
 
 
 def encode(x: int, k: int) -> FRep:
@@ -129,12 +126,8 @@ def encode(x: int, k: int) -> FRep:
     pairs = []
     base = k
     while x > base:
-        e = _least_exponent(x, base)
-        i = _max_iterate(e, base, x)
+        e, i, base = _step(x, base)
         pairs.append((e, i))
-        nxt = fold(((e, i),), base, x)
-        assert nxt is not None  # bounded by x by choice of i
-        base = nxt
     return FRep(k, tuple(pairs))
 
 

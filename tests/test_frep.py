@@ -22,7 +22,7 @@ from grzseq.frep import (
     to_total,
     validate,
 )
-from grzseq.grzeval import Exact, ExceedsCap
+from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds
 from grzseq.order import Ordering
 
 CAP = 10**7
@@ -67,6 +67,73 @@ def test_roundtrip_large_spot_values():
     for k in (2, 5):
         for x in (10**4 - 1, 10**4, 65535, 99991, 10**5):
             assert decode(encode(x, k), CAP) == Exact(x)
+
+
+def _gallop_encode(x, k):
+    # reference: the least exponent by linear search and the largest iterate
+    # by galloping and bisection, every probe through the public exceeds
+    if x < k:
+        return FRep(k, x)
+    if x == k:
+        return FRep(k, ((0, 0),))
+    pairs, base = [], k
+    while x > base:
+        e = 0
+        while not exceeds(e + 1, 1, base, x):
+            e += 1
+        lo, hi = 1, 2
+        while not exceeds(e, hi, base, x):
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if exceeds(e, mid, base, x):
+                hi = mid
+            else:
+                lo = mid
+        pairs.append((e, lo))
+        base = eval_F_iter(e, lo, base, x).value
+    return FRep(k, tuple(pairs))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_encode_matches_gallop_reference_exhaustively(k):
+    for x in range(3000):
+        assert encode(x, k) == _gallop_encode(x, k), f"x={x} k={k}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_encode_matches_gallop_reference_at_branch_boundaries(k):
+    # e = 0 below 2k, e = 1 from there to below F_2(k) = k * 2^k
+    for x in (2 * k - 1, 2 * k, k * 2**k - 1, k * 2**k):
+        assert encode(x, k) == _gallop_encode(x, k), f"x={x} k={k}"
+
+
+def test_encode_around_F3():
+    # e = 2 below F_3(k), e = 3 from F_3(k) on
+    for x in (2047, 2048, 2049):  # F_3(2) = 2048
+        assert encode(x, 2) == _gallop_encode(x, 2)
+    n = 402653184  # F_2(F_2(3)); F_3(3) = F_2(n) has 402653213 bits
+    f3 = n << n
+    assert eval_F(3, 3, f3) == Exact(f3)
+    for x in (f3, f3 + 1):
+        assert encode(x, 3) == _gallop_encode(x, 3)
+    # the reference would take about 4 * 10^8 gallop steps for the last count
+    assert encode(f3 - 1, 3) == FRep(3, ((2, 2), (1, n - 1), (0, f3 // 2 - 1)))
+
+
+@pytest.mark.parametrize("d", [30, 60, 100, 200, 300])
+def test_encode_matches_gallop_reference_on_bigints(d):
+    for k in (2, 3, 4, 5, 6):
+        for x in range(10 ** (d - 1), 10 ** (d - 1) + 6):
+            assert encode(x, k) == _gallop_encode(x, k), f"x={x} k={k}"
+
+
+def test_encode_huge_intermediate_base():
+    # the second pair leaves the base at F_2(2048) = 2^2059, far above bitlen(x)
+    x = 2**100_000 + 12345
+    r = encode(x, 2)
+    assert r == FRep(2, ((3, 1), (2, 1), (1, 97941), (0, 12345)))
+    assert decode(r, x) == Exact(x)
 
 
 def test_compare_examples():
