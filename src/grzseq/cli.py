@@ -124,13 +124,16 @@ def _cmd_seq(args) -> int:
     return EXIT_OK if trace.outcome.kind == "terminated" else EXIT_OVERFLOW
 
 
-def _cmd_ord_encode(args) -> int:
-    a = o_map(args.x, args.base)
-    if args.json:
+def _emit_ordinal(a, as_json: bool) -> int:
+    if as_json:
         _emit({"ordinal": ordinal_to_json(a), "text": print_ordinal(a)})
     else:
         print(print_ordinal(a))
     return EXIT_OK
+
+
+def _cmd_ord_encode(args) -> int:
+    return _emit_ordinal(o_map(args.x, args.base), args.json)
 
 
 def _cmd_ord_compare(args) -> int:
@@ -169,21 +172,11 @@ def _cmd_ord_inD(args) -> int:
 
 
 def _cmd_ord_Q(args) -> int:
-    out = Q_pred(args.a, args.base, args.cap)
-    if args.json:
-        _emit({"ordinal": ordinal_to_json(out), "text": print_ordinal(out)})
-    else:
-        print(print_ordinal(out))
-    return EXIT_OK
+    return _emit_ordinal(Q_pred(args.a, args.base, args.cap), args.json)
 
 
 def _cmd_gn(args) -> int:
-    out = g(args.n, args.k, args.x)
-    if args.json:
-        _emit({"ordinal": ordinal_to_json(out), "text": print_ordinal(out)})
-    else:
-        print(print_ordinal(out))
-    return EXIT_OK
+    return _emit_ordinal(g(args.n, args.k, args.x), args.json)
 
 
 def _read_chain(path: str):

@@ -60,28 +60,10 @@ class FRep:
 
 
 @dataclass(frozen=True)
-class TRep:
+class TRep(FRep):
     """Hereditary representation: exponents and counts are themselves TReps."""
 
-    base: int
     body: int | tuple[tuple["TRep", "TRep"], ...]
-
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise RepError(f"base must be an integer >= 2, got {self.base!r}")
-
-    @property
-    def is_atom(self) -> bool:
-        return isinstance(self.body, int)
-
-    @property
-    def pairs(self) -> tuple[tuple["TRep", "TRep"], ...]:
-        if self.is_atom:
-            raise RepError("atom has no pairs")
-        return self.body  # type: ignore[return-value]
-
-    def __str__(self) -> str:
-        return print_rep(self)
 
 
 @dataclass(frozen=True)
@@ -296,13 +278,21 @@ def _decode_total(t: TRep, cap: int) -> int | None:
         if not 0 <= v < t.base:
             raise RepError(f"atom value {v!r} not in [0, base {t.base})")
         return v if v <= cap else None
+    if t.body == ():
+        raise RepError("pair list must be non-empty")
     return fold(_decoded_pairs(t, cap), t.base, cap)
 
 
 def _decoded_pairs(t: TRep, cap: int):
-    # lazily, for fold: a count is decoded only once its exponent fits the cap
+    # lazily, for fold: a count is decoded only once its exponent fits the cap.
+    # An over-cap exponent after an exact one exceeds cap >= that one, so it
+    # breaks the strict descent too.
+    prev = None
     for e, c in t.pairs:
         ev = _decode_total(e, cap)
+        if prev is not None and (ev is None or ev >= prev):
+            raise RepError(f"exponents not strictly decreasing after {prev}")
+        prev = ev
         yield ev, None if ev is None else _decode_total(c, cap)
 
 
@@ -351,17 +341,20 @@ def _parse_bracket(s: Scanner):
     return pairs, base
 
 
-def _raw_is_flat(raw) -> bool:
-    pairs, _ = raw
-    return all(isinstance(e, int) and isinstance(c, int) for e, c in pairs)
-
-
-def _raw_to_trep(raw, fallback_base: int | None = None) -> TRep:
+def _rep_from_raw(raw, base: int | None = None, cls: type[FRep] = FRep) -> FRep:
+    # the one back end of both readers: an int is an atom (its base from the
+    # caller, else the smallest legal one), (pairs, base) a pair form.  The
+    # top pair form is flat when every item is a plain number; anything
+    # nested is hereditary all the way down.
     if isinstance(raw, int):
-        base = fallback_base if fallback_base is not None else max(2, raw + 1)
-        return TRep(base, raw)
-    pairs, base = raw
-    return TRep(base, tuple((_raw_to_trep(e, base), _raw_to_trep(c, base)) for e, c in pairs))
+        b = base if base is not None else max(2, raw + 1)
+        if raw >= b:
+            raise ParseError(f"atom {raw} not below base {b}", 0)
+        return cls(b, raw)
+    pairs, b = raw
+    if cls is FRep and all(isinstance(v, int) for pair in pairs for v in pair):
+        return FRep(b, tuple(pairs))
+    return TRep(b, tuple((_rep_from_raw(e, b, TRep), _rep_from_raw(c, b, TRep)) for e, c in pairs))
 
 
 def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
@@ -372,16 +365,7 @@ def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
     their base in the ``]_k`` suffix.  The result is an FRep when every item
     is a plain number and a TRep when any item nests.
     """
-    raw = Scanner(text).parse(_parse_item)
-    if isinstance(raw, int):
-        b = base if base is not None else max(2, raw + 1)
-        if raw >= b:
-            raise ParseError(f"atom {raw} not below base {b}", 0)
-        return FRep(b, raw)
-    if _raw_is_flat(raw):
-        pairs, b = raw
-        return FRep(b, tuple(pairs))
-    return _raw_to_trep(raw)
+    return _rep_from_raw(Scanner(text).parse(_parse_item), base)
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +392,25 @@ def rep_to_json(r: FRep | TRep) -> dict:
     }
 
 
-def _component_from_json(obj, base: int) -> int | TRep:
-    if isinstance(obj, str):
-        return int(obj)
-    nested = rep_from_json(obj)
-    if isinstance(nested, FRep):  # flat numbers inside, still a hereditary node
-        return TRep(nested.base, nested.body if nested.is_atom else tuple(
-            (TRep(nested.base, e), TRep(nested.base, c)) for e, c in nested.pairs))
-    return nested
+def _raw_from_json(obj):
+    # the raw tree _parse_item builds: an int for a decimal string,
+    # (pairs, base) for a pair object
+    match obj:
+        case str():
+            return Scanner(obj).parse(Scanner.nat)
+        case {"base": str(b), "pairs": [_, *_] as pairs} if len(obj) == 2 and all(
+            isinstance(p, list) and len(p) == 2 for p in pairs
+        ):
+            return [(_raw_from_json(e), _raw_from_json(c)) for e, c in pairs], _raw_from_json(b)
+    raise RepError(f"expected a decimal string or a pair object, got {obj!r}")
 
 
 def rep_from_json(text_or_obj) -> FRep | TRep:
+    """Read what ``rep_to_json`` writes, with the text reader's checks."""
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-    base = int(obj["base"])
-    if "atom" in obj:
-        return FRep(base, int(obj["atom"]))
-    comps = [(_component_from_json(e, base), _component_from_json(c, base))
-             for e, c in obj["pairs"]]
-    if all(isinstance(e, int) and isinstance(c, int) for e, c in comps):
-        return FRep(base, tuple(comps))
-
-    def lift(v) -> TRep:
-        return TRep(base, v) if isinstance(v, int) else v
-
-    return TRep(base, tuple((lift(e), lift(c)) for e, c in comps))
+    match obj:
+        case {"base": str(b), "atom": str(a)} if len(obj) == 2:
+            return _rep_from_raw(_raw_from_json(a), _raw_from_json(b))
+        case {"pairs": _}:
+            return _rep_from_raw(_raw_from_json(obj))
+    raise RepError(f"expected an atom or a pair object, got {obj!r}")

@@ -50,9 +50,10 @@ class Scanner:
             raise ParseError(f"expected {lit!r}", self.pos)
 
     def nat(self) -> int:
+        """A run of ASCII digits; int() alone would also read other scripts' digits."""
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", start)

@@ -103,25 +103,18 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
         tower = omega_pow(tower)
         entries.append(tower)
     entries.reverse()
-    cums = []
-    acc = 0
-    for m in measures:
-        acc += m
-        cums.append(acc)  # cums[k] = C(a_0) + ... + C(a_k)
-    total = cums[-1]
+    total = sum(measures)
     note = None
     if ell >= total:
         note = (
             f"tower prefix (length {ell}) already covers every index "
             f"decomposable in this prefix (total measure {total})"
         )
-    for i in range(ell, total):
-        k = 0
-        while cums[k] <= i:
-            k += 1  # stays in range: i < total = cums[-1]
-        k -= 1  # largest k with C(a_0)+...+C(a_k) <= i
-        x = i - cums[k]
-        entries.append(add(mul_omega_omega(alphas[k]), slow_g(n, k, x)))
+    start = 0
+    for k in range(len(alphas) - 1):  # block k: i = start + x with x < C(a_{k+1})
+        start += measures[k]  # C(a_0) + ... + C(a_k)
+        lifted = mul_omega_omega(alphas[k])
+        entries.extend(add(lifted, slow_g(n, k, x)) for x in range(max(0, ell - start), measures[k + 1]))
     return SlowChain(tuple(entries), ell, height, note)
 
 

@@ -313,6 +313,24 @@ def test_decode_total_stops_at_an_over_cap_exponent():
         decode_total(TRep(2, ((TRep(2, 1), TRep(2, 5)),)), 100)
 
 
+def test_decode_total_rejects_an_empty_pair_list():
+    with pytest.raises(RepError):
+        decode_total(TRep(2, ()), CAP)
+    with pytest.raises(RepError):  # nested as an exponent
+        decode_total(TRep(2, ((TRep(2, ()), TRep(2, 1)),)), CAP)
+
+
+def test_decode_total_rejects_exponents_that_do_not_fall():
+    with pytest.raises(RepError):  # the flat reader rejects the same shape
+        decode(parse_rep("[(0,2),(1,1)]_2"), 10**6)
+    with pytest.raises(RepError):
+        decode_total(parse_rep("[(0,[(0,0)]_2),(1,1)]_2"), 10**6)
+    with pytest.raises(RepError):  # equal exponents
+        decode_total(TRep(2, ((TRep(2, 1), TRep(2, 1)), (TRep(2, 1), TRep(2, 1)))), CAP)
+    with pytest.raises(RepError):  # an over-cap exponent after an exact one
+        decode_total(TRep(2, ((TRep(2, 1), TRep(2, 1)), (to_total(10**6, 2), TRep(2, 1)))), 100)
+
+
 # ---------------------------------------------------------------------------
 # Text and JSON forms
 
@@ -355,6 +373,12 @@ def test_parse_trailing_garbage():
         parse_rep("12 7")
     with pytest.raises(ParseError):  # nested past the recursion limit
         parse_rep("[(" * 1500 + "0" + ",1)]_2" * 1500)
+    with pytest.raises(ParseError) as err:  # digits are ASCII 0-9 only
+        parse_rep("[(²,1)]_2")
+    assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        parse_rep("[(1,1)]_٢")
+    assert err.value.position == 8
 
 
 def test_json_roundtrip():
@@ -370,6 +394,27 @@ def test_json_roundtrip():
                 assert back == t
             else:
                 assert decode(back, CAP) == decode_total(t, CAP)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"base":"2","pairs":[["-1","1"]]}',
+        '{"base":"2","atom":"5"}',  # not below the base
+        '{"base":"2","atom":"-1"}',
+        '{"base":"2"}',
+        '{"base":"2","pairs":[]}',
+        '{"base":"2","pairs":[["1","1"]],"extra":"0"}',
+        '{"base":"2","pairs":[["1"]]}',
+        '{"base":"2","pairs":[["\u00b2","1"]]}',
+        '{"base":"2","pairs":[[{"base":"2","atom":"1"},"1"]]}',  # nested atom object
+        '{"base":2,"atom":"1"}',
+        '"5"',
+    ],
+)
+def test_json_rejects_what_the_writer_never_writes(text):
+    with pytest.raises((RepError, ParseError)):
+        rep_from_json(text)
 
 
 def test_json_shape():

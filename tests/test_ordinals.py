@@ -217,6 +217,15 @@ def test_parse_rejects_garbage():
         parse_ordinal("")
     with pytest.raises(ParseError):  # nested past the recursion limit
         parse_ordinal("w^(" * 1500 + "1" + ")" * 1500)
+    with pytest.raises(ParseError) as err:  # digits are ASCII 0-9 only
+        parse_ordinal("²")
+    assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
+        parse_ordinal("٣")
+    assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
+        parse_ordinal("w^²")
+    assert err.value.position == 2
 
 
 def test_print_parse_roundtrip():

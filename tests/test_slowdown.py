@@ -3,10 +3,14 @@
 import pytest
 
 from grzseq.ordinals import (
+    ONE,
     ZERO,
+    add,
     coeff_measure,
     compare,
     from_int,
+    mul_omega_omega,
+    omega_pow,
     omega_tower,
     parse_ordinal,
 )
@@ -156,6 +160,65 @@ def test_compressed_entries_shape(alphas, n, c):
         from grzseq.ordinals import Ordinal
 
         assert compare(Ordinal(tuple(tail)), bound) == Ordering.LT
+
+
+def _per_entry_compress(alphas, n, c):
+    # the compressor as it was before it walked the chain block by block:
+    # each entry rescans the running sums for its block and lifts a_k anew
+    measures = [coeff_measure(a) for a in alphas]
+    ell = max(c, measures[0])
+    target = mul_omega_omega(alphas[0])
+    tower, t = ONE, 0
+    while tower <= target:
+        tower, t = omega_pow(tower), t + 1
+    height = ell + t
+    entries = []
+    for _ in range(ell):
+        tower = omega_pow(tower)
+        entries.append(tower)
+    entries.reverse()
+    cums = []
+    acc = 0
+    for m in measures:
+        acc += m
+        cums.append(acc)
+    total = cums[-1]
+    note = None
+    if ell >= total:
+        note = (
+            f"tower prefix (length {ell}) already covers every index "
+            f"decomposable in this prefix (total measure {total})"
+        )
+    for i in range(ell, total):
+        k = 0
+        while cums[k] <= i:
+            k += 1
+        k -= 1
+        x = i - cums[k]
+        entries.append(add(mul_omega_omega(alphas[k]), slow_g(n, k, x)))
+    return entries, ell, height, note
+
+
+@pytest.mark.parametrize(
+    "alphas,n",
+    [(alphas, n) for alphas, n, _ in CORPUS]
+    + [
+        ([ZERO], 1),
+        ([O("w"), ZERO], 1),
+        ([O("w*2"), O("w"), O("1")], 2),  # no trailing zero
+        ([from_int(v) for v in range(14, 0, -1)], 3),
+    ],
+)
+def test_compress_matches_per_entry_reference(alphas, n):
+    total = sum(coeff_measure(a) for a in alphas)
+    notes = 0
+    for c in sorted({0, 1, 3, max(0, total - 1), total, total + 3}):
+        out = compress(alphas, n, c)
+        entries, ell, height, note = _per_entry_compress(alphas, n, c)
+        assert chain_to_text(out.entries) == chain_to_text(entries), c
+        assert (out.tower_prefix_len, out.tower_height_base, out.note) == (ell, height, note), c
+        notes += note is not None
+    assert notes >= 2  # c = total and c above it leave nothing to decompose
 
 
 def test_compress_rejects_non_descending():
