@@ -70,23 +70,24 @@ class PaddedProfile:
 # The forward map
 
 
-def _ordinal_of(x: int, k: int, code) -> Ordinal:
-    # sum of w^{code(e)} c over the pairs of x, code applied to exponents >= k
+def _check_map_args(x: int, k: int) -> None:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
     if not isinstance(x, int) or x < k:
         raise ValueError(f"the map needs x >= base, got x={x!r}, base={k}")
-    total = ZERO
-    for e, c in encode(x, k).pairs:
-        if c == 0:
-            continue  # the bare-base [(0,0)] contributes nothing: o_k(k) = 0
-        total = add(total, omega_pow(from_int(e) if e < k else code(e), c))
-    return total
 
 
 def o_map(x: int, k: int) -> Ordinal:
     """The ordinal associated with x at base k; requires x >= k >= 2."""
-    return _ordinal_of(x, k, lambda v: add(OMEGA, o_map(v, k)))
+    _check_map_args(x, k)
+    # encode's exponents strictly fall and code is strictly monotone, so the
+    # terms are already in normal form: one (still validating) constructor
+    # call.  The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
+    return Ordinal(tuple(
+        (from_int(e) if e < k else add(OMEGA, o_map(e, k)), c)
+        for e, c in encode(x, k).pairs
+        if c
+    ))
 
 
 def o_map_literal(x: int, k: int) -> Ordinal:
@@ -95,7 +96,13 @@ def o_map_literal(x: int, k: int) -> Ordinal:
     Not monotone (o_2(4) = w > 2 = o_2(9)) and not injective
     (o_2(4) = o_2(2048) = w); kept only so that defect is reproducible.
     """
-    return _ordinal_of(x, k, lambda v: o_map_literal(v, k))
+    _check_map_args(x, k)
+    # the coding is not monotone, so the terms need add's absorb/merge step
+    total = ZERO
+    for e, c in encode(x, k).pairs:
+        if c:
+            total = add(total, omega_pow(from_int(e) if e < k else o_map_literal(e, k), c))
+    return total
 
 
 # ---------------------------------------------------------------------------

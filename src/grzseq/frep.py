@@ -154,19 +154,21 @@ def decode(r: FRep, cap: int) -> BoundedNat:
 # numeric order of the represented values (same base required).
 
 
+# bound once: on Python 3.11 each read of a member off the Enum class takes
+# about 0.2 us, as long as the rest of compare's body
+_LT, _EQ, _GT = Ordering.LT, Ordering.EQ, Ordering.GT
+
+
 def compare(a: FRep, b: FRep) -> Ordering:
     if a.base != b.base:
         raise ValueError(f"cannot compare representations with bases {a.base} and {b.base}")
-    if a.is_atom and b.is_atom:
-        return Ordering.from_cmp((a.body > b.body) - (a.body < b.body))
-    if a.is_atom:
-        return Ordering.LT  # atoms are below the base, pair forms are >= base
-    if b.is_atom:
-        return Ordering.GT
     pa, pb = a.body, b.body
     if pa == pb:
-        return Ordering.EQ
-    return Ordering.LT if pa < pb else Ordering.GT
+        return _EQ
+    if type(pa) is not type(pb):
+        # atoms are below the base, pair forms are >= base
+        return _LT if type(pa) is int else _GT
+    return _LT if pa < pb else _GT
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +322,12 @@ def print_rep(r: FRep | TRep) -> str:
 
 
 def _parse_item(s: Scanner):
-    # returns int or (pairs, base) raw tree
-    return _parse_bracket(s) if s.take("[") else s.nat()
+    # returns a raw tree: (value, offset) for a number, (pairs, base) for a
+    # bracket, pairs being a list
+    if s.take("["):
+        return _parse_bracket(s)
+    at = s.pos  # take skipped the whitespace before the number
+    return s.nat(), at
 
 
 def _parse_bracket(s: Scanner):
@@ -342,18 +348,19 @@ def _parse_bracket(s: Scanner):
 
 
 def _rep_from_raw(raw, base: int | None = None, cls: type[FRep] = FRep) -> FRep:
-    # the one back end of both readers: an int is an atom (its base from the
-    # caller, else the smallest legal one), (pairs, base) a pair form.  The
-    # top pair form is flat when every item is a plain number; anything
-    # nested is hereditary all the way down.
-    if isinstance(raw, int):
-        b = base if base is not None else max(2, raw + 1)
-        if raw >= b:
-            raise ParseError(f"atom {raw} not below base {b}", 0)
-        return cls(b, raw)
+    # the one back end of both readers: a number is an atom (its base from the
+    # caller, else the smallest legal one), a pair list with its base a pair
+    # form.  The top pair form is flat when every item is a plain number;
+    # anything nested is hereditary all the way down.
+    if isinstance(raw[0], int):
+        value, at = raw
+        b = base if base is not None else max(2, value + 1)
+        if value >= b:
+            raise ParseError(f"atom {value} not below base {b}", at)
+        return cls(b, value)
     pairs, b = raw
-    if cls is FRep and all(isinstance(v, int) for pair in pairs for v in pair):
-        return FRep(b, tuple(pairs))
+    if cls is FRep and all(isinstance(v[0], int) for pair in pairs for v in pair):
+        return FRep(b, tuple((e, c) for (e, _), (c, _) in pairs))
     return TRep(b, tuple((_rep_from_raw(e, b, TRep), _rep_from_raw(c, b, TRep)) for e, c in pairs))
 
 
@@ -392,25 +399,35 @@ def rep_to_json(r: FRep | TRep) -> dict:
     }
 
 
+def _nat_from_json(text: str) -> int:
+    return Scanner(text).parse(Scanner.nat)
+
+
 def _raw_from_json(obj):
-    # the raw tree _parse_item builds: an int for a decimal string,
-    # (pairs, base) for a pair object
+    # the raw tree _parse_item builds: (value, 0) for a decimal string (JSON
+    # carries no text offsets), (pairs, base) for a pair object
     match obj:
         case str():
-            return Scanner(obj).parse(Scanner.nat)
+            return _nat_from_json(obj), 0
         case {"base": str(b), "pairs": [_, *_] as pairs} if len(obj) == 2 and all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):
-            return [(_raw_from_json(e), _raw_from_json(c)) for e, c in pairs], _raw_from_json(b)
+            return [(_raw_from_json(e), _raw_from_json(c)) for e, c in pairs], _nat_from_json(b)
     raise RepError(f"expected a decimal string or a pair object, got {obj!r}")
 
 
 def rep_from_json(text_or_obj) -> FRep | TRep:
-    """Read what ``rep_to_json`` writes, with the text reader's checks."""
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-    match obj:
-        case {"base": str(b), "atom": str(a)} if len(obj) == 2:
-            return _rep_from_raw(_raw_from_json(a), _raw_from_json(b))
-        case {"pairs": _}:
-            return _rep_from_raw(_raw_from_json(obj))
-    raise RepError(f"expected an atom or a pair object, got {obj!r}")
+    """Read what ``rep_to_json`` writes, with the text reader's checks.
+
+    JSON nested past the interpreter's recursion limit raises ParseError.
+    """
+    try:
+        obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+        match obj:
+            case {"base": str(b), "atom": str(a)} if len(obj) == 2:
+                return _rep_from_raw(_raw_from_json(a), _nat_from_json(b))
+            case {"pairs": _}:
+                return _rep_from_raw(_raw_from_json(obj))
+        raise RepError(f"expected an atom or a pair object, got {obj!r}")
+    except RecursionError:
+        raise ParseError("nesting too deep", 0) from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .order import Ordering, Scanner
+from .order import Ordering, ParseError, Scanner
 
 # Key markers: CLOSE < OPEN < every coefficient.
 OPEN, CLOSE = 0, -1
@@ -191,7 +191,20 @@ def ordinal_to_json(a: Ordinal) -> list:
     return [[ordinal_to_json(e), str(c)] for e, c in a.terms]
 
 
+def _ordinal_from_tree(obj) -> Ordinal:
+    # exactly the writer's shape: a list of [term-list, "decimal"] pairs
+    if not isinstance(obj, list) or not all(
+        isinstance(t, list) and len(t) == 2 and isinstance(t[1], str) for t in obj
+    ):
+        raise ParseError(f"expected a list of [exponent, \"decimal\"] terms, got {obj!r}", 0)
+    return Ordinal(tuple((_ordinal_from_tree(e), Scanner(c).parse(Scanner.nat)) for e, c in obj))
+
+
 def ordinal_from_json(obj) -> Ordinal:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return Ordinal(tuple((ordinal_from_json(e), int(c)) for e, c in obj))
+    """Read what ``ordinal_to_json`` writes.  Any other shape, and JSON nested
+    past the interpreter's recursion limit, raises ParseError (offset 0: JSON
+    carries no text offsets)."""
+    try:
+        return _ordinal_from_tree(json.loads(obj) if isinstance(obj, str) else obj)
+    except RecursionError:
+        raise ParseError("nesting too deep", 0) from None

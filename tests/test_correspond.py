@@ -15,7 +15,7 @@ from grzseq.correspond import (
     o_map_literal,
     profile,
 )
-from grzseq.frep import shift_value
+from grzseq.frep import encode, shift_value
 from grzseq.grzeval import CapExceededError, Exact
 from grzseq.order import Ordering
 from grzseq.ordinals import (
@@ -55,6 +55,22 @@ def test_literal_monotonicity_failure_pinned():
     # 4 < 9 but o_2(4) = w > 2 = o_2(9) under the literal reading
     a, b = o_map_literal(4, 2), o_map_literal(9, 2)
     assert compare(a, b) == Ordering.GT
+
+
+def test_o_map_matches_add_chain_reference():
+    def reference(x: int, k: int) -> Ordinal:
+        # the term-by-term fold o_map did before it built each image in one call
+        total = ZERO
+        for e, c in encode(x, k).pairs:
+            if c:
+                total = add(total, omega_pow(from_int(e) if e < k else add(OMEGA, reference(e, k)), c))
+        return total
+
+    for k in (2, 3, 4):
+        xs = [*range(k, 10_001), *(10**99 + 10**98 * i + i for i in range(6))]
+        for x in xs:
+            got, want = o_map(x, k), reference(x, k)
+            assert (got, got.key, str(got)) == (want, want.key, str(want)), f"x={x} k={k}"
 
 
 def test_o_map_rejects_below_base():

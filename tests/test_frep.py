@@ -159,6 +159,32 @@ def test_atom_below_any_pair_form():
     assert compare(encode(7, 5), FRep(5, 0)) == Ordering.GT
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_compare_matches_is_atom_reference(k):
+    def reference(a: FRep, b: FRep) -> Ordering:
+        # the body compare had before it read the bodies once
+        if a.base != b.base:
+            raise ValueError(f"cannot compare representations with bases {a.base} and {b.base}")
+        if a.is_atom and b.is_atom:
+            return Ordering.from_cmp((a.body > b.body) - (a.body < b.body))
+        if a.is_atom:
+            return Ordering.LT
+        if b.is_atom:
+            return Ordering.GT
+        pa, pb = a.body, b.body
+        if pa == pb:
+            return Ordering.EQ
+        return Ordering.LT if pa < pb else Ordering.GT
+
+    reps = [encode(x, k) for x in range(600)]  # atoms 0..k-1 included
+    pairs = list(itertools.product(reps, repeat=2))
+    assert [compare(a, b) for a, b in pairs] == [reference(a, b) for a, b in pairs]
+    for a, b in ((encode(0, k), encode(0, k + 1)), (encode(9, k), encode(9, k + 1)),
+                 (encode(1, k), encode(99, k + 1))):
+        with pytest.raises(ValueError):
+            compare(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Shifts
 
@@ -379,6 +405,15 @@ def test_parse_trailing_garbage():
     with pytest.raises(ParseError) as err:
         parse_rep("[(1,1)]_٢")
     assert err.value.position == 8
+    with pytest.raises(ParseError) as err:  # reported where the atom stands
+        parse_rep("[([(0,0)]_2,5)]_2")
+    assert err.value.position == 12
+    with pytest.raises(ParseError) as err:
+        parse_rep(" [( [(0,0)]_3 , 1),(0,  4)]_3")
+    assert err.value.position == 24
+    with pytest.raises(ParseError) as err:
+        parse_rep("  7", base=3)
+    assert err.value.position == 2
 
 
 def test_json_roundtrip():
@@ -415,6 +450,16 @@ def test_json_roundtrip():
 def test_json_rejects_what_the_writer_never_writes(text):
     with pytest.raises((RepError, ParseError)):
         rep_from_json(text)
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error():
+    text, obj = '"1"', "1"
+    for _ in range(900):
+        text = '{"base":"2","pairs":[[' + text + ',"1"]]}'
+        obj = {"base": "2", "pairs": [[obj, "1"]]}
+    for arg in (text, obj):  # json.loads fails on the text, the tree walk on the object
+        with pytest.raises(ParseError, match="nesting too deep"):
+            rep_from_json(arg)
 
 
 def test_json_shape():

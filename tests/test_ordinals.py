@@ -238,3 +238,40 @@ def test_print_parse_roundtrip():
 def test_json_roundtrip():
     for a in SMALL[:80]:
         assert ordinal_from_json(json.dumps(ordinal_to_json(a))) == a
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[[[], 1]]',  # an int coefficient
+        '[[[], "\u0663"]]',  # a non-ASCII digit
+        '[[[], "x"]]',
+        '[[[], "-1"]]',
+        '{"a":1}',
+        '[[[]]]',
+        '[[[], "1", "2"]]',
+        '[[{}, "1"]]',
+        '"1"',
+        '[[[[[], "1"]], "1"], 3]',
+    ],
+)
+def test_json_rejects_what_the_writer_never_writes(text):
+    with pytest.raises(ParseError):
+        ordinal_from_json(text)
+
+
+def test_json_keeps_the_normal_form_checks():
+    for text in ('[[[], "0"]]', '[[[], "1"], [[[[], "1"]], "1"]]', '[[[], "1"], [[], "1"]]'):
+        with pytest.raises(ValueError) as err:
+            ordinal_from_json(text)
+        assert not isinstance(err.value, ParseError)
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error():
+    text, obj = "[]", []
+    for _ in range(600):
+        text = '[[' + text + ',"1"]]'
+        obj = [[obj, "1"]]
+    for arg in (text, obj):  # json.loads fails on the text, the tree walk on the object
+        with pytest.raises(ParseError, match="nesting too deep"):
+            ordinal_from_json(arg)
