@@ -9,90 +9,103 @@ The package splits along the data it owns:
 * :mod:`grzseq.seq`        - base-shift countdown sequences and shadows
 * :mod:`grzseq.slowdown`   - compression of descending chains
 * :mod:`grzseq.cli`        - the command-line front end
+
+``import grzseq`` loads none of them: each name in ``__all__`` is imported
+from its module when it is first read (PEP 562), so a process loads only the
+modules it runs.
 """
 
-from .grzeval import (
-    BoundedNat,
-    CapExceededError,
-    Exact,
-    ExceedsCap,
-    eval_F,
-    eval_F_iter,
-    exceeds,
-    fold,
-    in_relation_R,
-)
-from .frep import (
-    FRep,
-    RepError,
-    TRep,
-    ValidationReport,
-    compare as rep_compare,
-    decode,
-    decode_total,
-    encode,
-    parse_rep,
-    print_rep,
-    rep_from_json,
-    rep_to_json,
-    shift_total_value,
-    shift_value,
-    to_total,
-    validate,
-)
-from .order import Ordering, ParseError
-from .ordinals import (
-    OMEGA,
-    ONE,
-    ZERO,
-    Ordinal,
-    add,
-    coeff_measure,
-    compare as ordinal_compare,
-    from_int,
-    left_subtract_omega,
-    mul_omega_omega,
-    omega_pow,
-    omega_tower,
-    ordinal_from_json,
-    ordinal_to_json,
-    parse_ordinal,
-    print_ordinal,
-)
-from .correspond import (
-    L_inverse,
-    MembershipReport,
-    NotInDError,
-    PaddedProfile,
-    Q_pred,
-    flip,
-    g,
-    in_D,
-    o_map,
-    o_map_literal,
-    profile,
-)
-from .seq import (
-    CheckReport,
-    DominationReport,
-    Outcome,
-    Phase,
-    Trace,
-    TraceStep,
-    dominate_check,
-    next_step,
-    run,
-    shadow_check,
-    trace_to_json,
-)
-from .slowdown import (
-    SlowChain,
-    SlowReport,
-    chain_to_text,
-    compress,
-    parse_chain_text,
-    slow_g,
-    verify_slow,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# exported name -> (module, attribute)
+_EXPORTS = {
+    "BoundedNat": ("grzeval", "BoundedNat"),
+    "CapExceededError": ("grzeval", "CapExceededError"),
+    "Exact": ("grzeval", "Exact"),
+    "ExceedsCap": ("grzeval", "ExceedsCap"),
+    "eval_F": ("grzeval", "eval_F"),
+    "eval_F_iter": ("grzeval", "eval_F_iter"),
+    "exceeds": ("grzeval", "exceeds"),
+    "fold": ("grzeval", "fold"),
+    "in_relation_R": ("grzeval", "in_relation_R"),
+    "FRep": ("frep", "FRep"),
+    "RepError": ("frep", "RepError"),
+    "TRep": ("frep", "TRep"),
+    "ValidationReport": ("frep", "ValidationReport"),
+    "rep_compare": ("frep", "compare"),
+    "decode": ("frep", "decode"),
+    "decode_total": ("frep", "decode_total"),
+    "encode": ("frep", "encode"),
+    "parse_rep": ("frep", "parse_rep"),
+    "print_rep": ("frep", "print_rep"),
+    "rep_from_json": ("frep", "rep_from_json"),
+    "rep_to_json": ("frep", "rep_to_json"),
+    "shift_total_value": ("frep", "shift_total_value"),
+    "shift_value": ("frep", "shift_value"),
+    "to_total": ("frep", "to_total"),
+    "validate": ("frep", "validate"),
+    "Ordering": ("order", "Ordering"),
+    "ParseError": ("order", "ParseError"),
+    "OMEGA": ("ordinals", "OMEGA"),
+    "ONE": ("ordinals", "ONE"),
+    "ZERO": ("ordinals", "ZERO"),
+    "Ordinal": ("ordinals", "Ordinal"),
+    "add": ("ordinals", "add"),
+    "coeff_measure": ("ordinals", "coeff_measure"),
+    "ordinal_compare": ("ordinals", "compare"),
+    "from_int": ("ordinals", "from_int"),
+    "left_subtract_omega": ("ordinals", "left_subtract_omega"),
+    "mul_omega_omega": ("ordinals", "mul_omega_omega"),
+    "omega_pow": ("ordinals", "omega_pow"),
+    "omega_tower": ("ordinals", "omega_tower"),
+    "ordinal_from_json": ("ordinals", "ordinal_from_json"),
+    "ordinal_to_json": ("ordinals", "ordinal_to_json"),
+    "parse_ordinal": ("ordinals", "parse_ordinal"),
+    "print_ordinal": ("ordinals", "print_ordinal"),
+    "L_inverse": ("correspond", "L_inverse"),
+    "MembershipReport": ("correspond", "MembershipReport"),
+    "NotInDError": ("correspond", "NotInDError"),
+    "PaddedProfile": ("correspond", "PaddedProfile"),
+    "Q_pred": ("correspond", "Q_pred"),
+    "flip": ("correspond", "flip"),
+    "g": ("correspond", "g"),
+    "in_D": ("correspond", "in_D"),
+    "o_map": ("correspond", "o_map"),
+    "o_map_literal": ("correspond", "o_map_literal"),
+    "profile": ("correspond", "profile"),
+    "CheckReport": ("seq", "CheckReport"),
+    "DominationReport": ("seq", "DominationReport"),
+    "Outcome": ("seq", "Outcome"),
+    "Phase": ("seq", "Phase"),
+    "Trace": ("seq", "Trace"),
+    "TraceStep": ("seq", "TraceStep"),
+    "dominate_check": ("seq", "dominate_check"),
+    "next_step": ("seq", "next_step"),
+    "run": ("seq", "run"),
+    "shadow_check": ("seq", "shadow_check"),
+    "trace_to_json": ("seq", "trace_to_json"),
+    "SlowChain": ("slowdown", "SlowChain"),
+    "SlowReport": ("slowdown", "SlowReport"),
+    "chain_to_text": ("slowdown", "chain_to_text"),
+    "compress": ("slowdown", "compress"),
+    "parse_chain_text": ("slowdown", "parse_chain_text"),
+    "slow_g": ("slowdown", "slow_g"),
+    "verify_slow": ("slowdown", "verify_slow"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _EXPORTS[name]
+    except KeyError:
+        # also how `from grzseq import seq` reaches the submodule import
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), attr)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

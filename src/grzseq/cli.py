@@ -14,11 +14,10 @@ the GRZ_CAP environment variable or a ``--cap`` flag.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .correspond import NotInDError, Q_pred, g, in_D, o_map
+# every command needs these three modules; each command imports the rest
 from .frep import (
     RepError,
     encode,
@@ -30,15 +29,6 @@ from .frep import (
 )
 from .grzeval import CapExceededError, Exact
 from .order import ParseError
-from .ordinals import (
-    coeff_measure,
-    compare,
-    ordinal_to_json,
-    parse_ordinal,
-    print_ordinal,
-)
-from .seq import run, trace_to_json
-from .slowdown import chain_to_text, compress, parse_chain_text, verify_slow
 
 DEFAULT_CAP = 10**7
 DEFAULT_MAX_STEPS = 10**4
@@ -61,6 +51,8 @@ def _fmt_bounded(b) -> str:
 
 
 def _emit(obj) -> None:
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
@@ -101,6 +93,9 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    from .ordinals import print_ordinal
+    from .seq import run, trace_to_json
+
     trace = run(
         args.z,
         hereditary=args.hereditary,
@@ -125,6 +120,8 @@ def _cmd_seq(args) -> int:
 
 
 def _emit_ordinal(a, as_json: bool) -> int:
+    from .ordinals import ordinal_to_json, print_ordinal
+
     if as_json:
         _emit({"ordinal": ordinal_to_json(a), "text": print_ordinal(a)})
     else:
@@ -133,10 +130,14 @@ def _emit_ordinal(a, as_json: bool) -> int:
 
 
 def _cmd_ord_encode(args) -> int:
+    from .correspond import o_map
+
     return _emit_ordinal(o_map(args.x, args.base), args.json)
 
 
 def _cmd_ord_compare(args) -> int:
+    from .ordinals import compare
+
     rel = compare(args.a, args.b)
     if args.json:
         _emit({"ordering": rel.name})
@@ -146,6 +147,8 @@ def _cmd_ord_compare(args) -> int:
 
 
 def _cmd_ord_C(args) -> int:
+    from .ordinals import coeff_measure
+
     m = coeff_measure(args.a)
     if args.json:
         _emit({"value": str(m)})
@@ -155,6 +158,8 @@ def _cmd_ord_C(args) -> int:
 
 
 def _cmd_ord_inD(args) -> int:
+    from .correspond import in_D
+
     report = in_D(args.a, args.base)
     if args.json:
         skel = None
@@ -172,19 +177,28 @@ def _cmd_ord_inD(args) -> int:
 
 
 def _cmd_ord_Q(args) -> int:
+    from .correspond import Q_pred
+
     return _emit_ordinal(Q_pred(args.a, args.base, args.cap), args.json)
 
 
 def _cmd_gn(args) -> int:
+    from .correspond import g
+
     return _emit_ordinal(g(args.n, args.k, args.x), args.json)
 
 
 def _read_chain(path: str):
+    from .slowdown import parse_chain_text
+
     with open(path, encoding="utf-8") as handle:
         return parse_chain_text(handle.read())
 
 
 def _cmd_chain_slowdown(args) -> int:
+    from .ordinals import ordinal_to_json, print_ordinal
+    from .slowdown import chain_to_text, compress, verify_slow
+
     alphas = _read_chain(args.input)
     out = compress(alphas, args.index, args.const)
     report = verify_slow(out)
@@ -209,6 +223,8 @@ def _cmd_chain_slowdown(args) -> int:
 
 
 def _cmd_chain_verify(args) -> int:
+    from .slowdown import verify_slow
+
     entries = _read_chain(args.input)
     report = verify_slow(entries)
     if args.json:
@@ -244,6 +260,8 @@ def _base(text: str) -> int:
 
 
 def _ordinal_arg(text: str):
+    from .ordinals import parse_ordinal
+
     try:
         return parse_ordinal(text)
     except ValueError as err:
@@ -361,13 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except NotInDError as err:
-        print(f"grzseq: {err}", file=sys.stderr)
-        return EXIT_REJECTED
     except (ParseError, FileNotFoundError) as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (RepError, ValueError) as err:
+    except (RepError, ValueError) as err:  # correspond.NotInDError is a ValueError
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_REJECTED
     except RecursionError:  # output nested deeper than the printers can recurse

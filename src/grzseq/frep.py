@@ -17,7 +17,6 @@ cap reports ExceedsCap instead of computing it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .grzeval import BoundedNat, Exact, ExceedsCap, fold
@@ -421,6 +420,8 @@ def rep_from_json(text_or_obj) -> FRep | TRep:
 
     JSON nested past the interpreter's recursion limit raises ParseError.
     """
+    import json
+
     try:
         obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
         match obj:

@@ -13,7 +13,6 @@ measure C.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .order import Ordering, ParseError, Scanner
@@ -86,8 +85,16 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     return Ordinal(((e, coeff),))
 
 
+# bound once, as in frep.compare: each read of a member off the Enum class
+# costs about 0.2 us on Python 3.11
+_LT, _EQ, _GT = Ordering.LT, Ordering.EQ, Ordering.GT
+
+
 def compare(a: Ordinal, b: Ordinal) -> Ordering:
-    return Ordering.from_cmp((a.key > b.key) - (a.key < b.key))
+    ka, kb = a.key, b.key
+    if ka == kb:
+        return _EQ
+    return _LT if ka < kb else _GT
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -204,6 +211,8 @@ def ordinal_from_json(obj) -> Ordinal:
     """Read what ``ordinal_to_json`` writes.  Any other shape, and JSON nested
     past the interpreter's recursion limit, raises ParseError (offset 0: JSON
     carries no text offsets)."""
+    import json
+
     try:
         return _ordinal_from_tree(json.loads(obj) if isinstance(obj, str) else obj)
     except RecursionError:

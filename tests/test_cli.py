@@ -1,6 +1,12 @@
 """Command-line behavior: output shapes, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from grzseq.cli import main
 from grzseq.frep import encode, rep_from_json, to_total
@@ -257,3 +263,47 @@ def test_big_numbers_abbreviate_in_text_only(capsys):
     assert code == 0
     value = int(json.loads(out)["value"])  # JSON always carries the exact value
     assert 10**40 < value < 10**41
+
+
+# ---------------------------------------------------------------------------
+# One fresh process per subcommand.  The calls above cannot see an import a
+# command forgot, because this session has already loaded every module.
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBCOMMANDS = [
+    ["repr", "9", "--base", "2"],
+    ["shift", "4", "--from", "2", "--to", "3"],
+    ["seq", "4", "--shadow"],
+    ["ord", "encode", "9", "--base", "2"],
+    ["ord", "compare", "w*5+3", "w^w"],
+    ["ord", "C", "w^(w*2)+3"],
+    ["ord", "inD", "w^w", "--base", "2"],
+    ["ord", "Q", "w^w", "--base", "2"],
+    ["gn", "2", "2", "1"],
+    ["chain", "slowdown", "--input", "CHAIN", "--index", "1", "--const", "1"],
+    ["chain", "verify", "--input", "CHAIN"],
+]
+FRESH = [(argv, 0) for argv in SUBCOMMANDS] + [(argv + ["--json"], 0) for argv in SUBCOMMANDS] + [
+    (["shift", "8", "--from", "2", "--to", "3"], 1),
+    (["ord", "C", "w^"], 2),
+    (["ord", "C", "w^(" * 1500 + "1" + ")" * 1500], 2),
+    (["ord", "Q", "w^2", "--base", "2"], 3),
+    (["chain", "verify", "--input", "BAD"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FRESH, ids=[" ".join(argv)[:40] for argv, _ in FRESH])
+def test_subcommand_in_a_fresh_process(capsys, tmp_path, argv, expected):
+    (tmp_path / "chain.txt").write_text("w\n1\n0\n", encoding="utf-8")
+    (tmp_path / "bad.txt").write_text("w*2\nw*2\n", encoding="utf-8")
+    files = {"CHAIN": str(tmp_path / "chain.txt"), "BAD": str(tmp_path / "bad.txt")}
+    argv = [files.get(a, a) for a in argv]
+    env = {k: v for k, v in os.environ.items() if k not in ("GRZ_CAP", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-m", "grzseq.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == expected and "Traceback" not in proc.stderr, proc.stderr[-500:]
+    code, out, _ = invoke(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if expected == 0 and "--json" in argv:
+        json.loads(proc.stdout)
