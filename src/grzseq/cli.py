@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RepError, ValueError) as err:  # correspond.NotInDError is a ValueError
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_REJECTED
-    except RecursionError:  # output nested deeper than the printers can recurse
+    except RecursionError:  # --json output nested deeper than the JSON writers can recurse
         print("grzseq: nesting too deep", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grzeval import BoundedNat, Exact, ExceedsCap, fold
-from .order import Ordering, ParseError, Scanner
+from .order import Ordering, ParseError, nat, number, offset, tokens
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -320,47 +320,73 @@ def print_rep(r: FRep | TRep) -> str:
     return "[" + ",".join(items) + "]_" + str(r.base)
 
 
-def _parse_item(s: Scanner):
-    # returns a raw tree: (value, offset) for a number, (pairs, base) for a
-    # bracket, pairs being a list
-    if s.take("["):
-        return _parse_bracket(s)
-    at = s.pos  # take skipped the whitespace before the number
-    return s.nat(), at
+# Brackets nested deeper than this are rejected: every level of a valid TRep
+# is a tower over the one below, so a few levels already pass any cap, and
+# the readers, print_rep and decode_total recurse once per level.
+REP_NESTING_LIMIT = 200
 
 
-def _parse_bracket(s: Scanner):
-    # the opening "[" is already consumed
-    pairs = []
+def _expect(text: str, toks: list[str], i: int, lit: str) -> int:
+    if toks[i] != lit:
+        raise ParseError(f"expected {lit!r}", offset(text, i))
+    return i + 1
+
+
+def _parse_raw(text: str):
+    # the raw tree of the text: (value, token index) for a number, (pairs, base)
+    # for a bracket, pairs being a list.  One walk over the tokens with a
+    # stack of open brackets, each [pairs so far, its pending exponent item].
+    toks = tokens(text)
+    i = 0
+    brackets = []
     while True:
-        s.expect("(")
-        e = _parse_item(s)
-        s.expect(",")
-        c = _parse_item(s)
-        s.expect(")")
-        pairs.append((e, c))
-        if not s.take(","):
-            break
-    s.expect("]_")
-    base = s.nat()
-    return pairs, base
+        if toks[i] == "[":
+            if len(brackets) == REP_NESTING_LIMIT:
+                raise ParseError("nesting too deep", offset(text, i))
+            i = _expect(text, toks, i + 1, "(")
+            brackets.append([[], None])
+            continue
+        item = number(text, toks, i), i
+        i += 1
+        while True:  # hand the finished item to its bracket
+            if not brackets:
+                if toks[i]:
+                    raise ParseError("trailing input", offset(text, i))
+                return item
+            top = brackets[-1]
+            if top[1] is None:
+                top[1] = item
+                i = _expect(text, toks, i, ",")
+                break  # read the count
+            top[0].append((top[1], item))
+            top[1] = None
+            i = _expect(text, toks, i, ")")
+            if toks[i] == ",":
+                i = _expect(text, toks, i + 1, "(")
+                break  # read the next exponent
+            i = _expect(text, toks, i, "]_")
+            item = top[0], number(text, toks, i)
+            i += 1
+            brackets.pop()
 
 
-def _rep_from_raw(raw, base: int | None = None, cls: type[FRep] = FRep) -> FRep:
+def _rep_from_raw(raw, text: str, base: int | None = None, cls: type[FRep] = FRep) -> FRep:
     # the one back end of both readers: a number is an atom (its base from the
     # caller, else the smallest legal one), a pair list with its base a pair
     # form.  The top pair form is flat when every item is a plain number;
-    # anything nested is hereditary all the way down.
+    # anything nested is hereditary all the way down.  A number's position
+    # is its token index in text; JSON has no text and positions 0, and
+    # offset("", 0) is 0.
     if isinstance(raw[0], int):
         value, at = raw
         b = base if base is not None else max(2, value + 1)
         if value >= b:
-            raise ParseError(f"atom {value} not below base {b}", at)
+            raise ParseError(f"atom {value} not below base {b}", offset(text, at))
         return cls(b, value)
     pairs, b = raw
     if cls is FRep and all(isinstance(v[0], int) for pair in pairs for v in pair):
         return FRep(b, tuple((e, c) for (e, _), (c, _) in pairs))
-    return TRep(b, tuple((_rep_from_raw(e, b, TRep), _rep_from_raw(c, b, TRep)) for e, c in pairs))
+    return TRep(b, tuple((_rep_from_raw(e, text, b, TRep), _rep_from_raw(c, text, b, TRep)) for e, c in pairs))
 
 
 def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
@@ -371,7 +397,7 @@ def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
     their base in the ``]_k`` suffix.  The result is an FRep when every item
     is a plain number and a TRep when any item nests.
     """
-    return _rep_from_raw(Scanner(text).parse(_parse_item), base)
+    return _rep_from_raw(_parse_raw(text), text, base)
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +424,16 @@ def rep_to_json(r: FRep | TRep) -> dict:
     }
 
 
-def _nat_from_json(text: str) -> int:
-    return Scanner(text).parse(Scanner.nat)
-
-
 def _raw_from_json(obj):
-    # the raw tree _parse_item builds: (value, 0) for a decimal string (JSON
+    # the raw tree _parse_raw builds: (value, 0) for a decimal string (JSON
     # carries no text offsets), (pairs, base) for a pair object
     match obj:
         case str():
-            return _nat_from_json(obj), 0
+            return nat(obj), 0
         case {"base": str(b), "pairs": [_, *_] as pairs} if len(obj) == 2 and all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):
-            return [(_raw_from_json(e), _raw_from_json(c)) for e, c in pairs], _nat_from_json(b)
+            return [(_raw_from_json(e), _raw_from_json(c)) for e, c in pairs], nat(b)
     raise RepError(f"expected a decimal string or a pair object, got {obj!r}")
 
 
@@ -426,9 +448,9 @@ def rep_from_json(text_or_obj) -> FRep | TRep:
         obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
         match obj:
             case {"base": str(b), "atom": str(a)} if len(obj) == 2:
-                return _rep_from_raw(_raw_from_json(a), _nat_from_json(b))
+                return _rep_from_raw(_raw_from_json(a), "", nat(b))
             case {"pairs": _}:
-                return _rep_from_raw(_raw_from_json(obj))
+                return _rep_from_raw(_raw_from_json(obj), "")
         raise RepError(f"expected an atom or a pair object, got {obj!r}")
     except RecursionError:
         raise ParseError("nesting too deep", 0) from None

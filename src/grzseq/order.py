@@ -1,9 +1,10 @@
 """Pieces shared by the codec and ordinal modules: the three-way comparison
-result and the scanner both text grammars are parsed with."""
+result and the lexer both text grammars read."""
 
 from __future__ import annotations
 
 import enum
+import re
 
 
 class Ordering(enum.Enum):
@@ -26,54 +27,41 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Scanner:
-    """A cursor over text that skips whitespace before every token."""
+# a run of ASCII digits (int() alone would also read other scripts' digits),
+# the rep grammar's "]_", or any other single non-space character
+_TOKEN = re.compile(r"\s*(\]_|[0-9]+|\S)")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def tokens(text: str) -> list[str]:
+    """The tokens of text, whitespace skipped, closed by the end sentinel "".
 
-    def take(self, lit: str) -> bool:
-        """Consume lit if it comes next; report whether it did."""
-        self._skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
+    Offsets are only needed for errors, so ``offset`` finds them on demand.
+    """
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    return toks
 
-    def expect(self, lit: str) -> None:
-        if not self.take(lit):
-            raise ParseError(f"expected {lit!r}", self.pos)
 
-    def nat(self) -> int:
-        """A run of ASCII digits; int() alone would also read other scripts' digits."""
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
+def offset(text: str, i: int) -> int:
+    """The offset of token i of ``tokens(text)``; the sentinel's is len(text)."""
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        if j == i:
+            return m.start(1)
+    return len(text)
 
-    def end(self) -> None:
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("trailing input", self.pos)
 
-    def parse(self, rule):
-        """Run a grammar rule over the whole text.
+def number(text: str, toks: list[str], i: int) -> int:
+    """The value of token i if it is a number, else a ParseError at its offset."""
+    tok = toks[i]
+    if "0" <= tok[:1] <= "9":
+        return int(tok)
+    raise ParseError("expected a number", offset(text, i))
 
-        The grammars recurse once per level of nesting, so input nested
-        deeper than the interpreter's recursion limit is rejected with a
-        ParseError rather than a RecursionError.
-        """
-        try:
-            out = rule(self)
-        except RecursionError:
-            raise ParseError("nesting too deep", self.pos) from None
-        self.end()
-        return out
+
+def nat(text: str) -> int:
+    """The whole of text as one number; whitespace around it is allowed."""
+    toks = tokens(text)
+    value = number(text, toks, 0)
+    if toks[1]:
+        raise ParseError("trailing input", offset(text, 1))
+    return value

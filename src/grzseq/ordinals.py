@@ -15,22 +15,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .order import Ordering, ParseError, Scanner
+from .order import Ordering, ParseError, nat, number, offset, tokens
 
 # Key markers: CLOSE < OPEN < every coefficient.
 OPEN, CLOSE = 0, -1
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Ordinal:
     """Order, equality, hashing and C all come from ``key``, the flat token
     tuple (OPEN, *e_1.key, c_1, ..., *e_m.key, c_m, CLOSE).  Where two keys
     first differ is inside two exponents, at two coefficients of equal
     exponents, or at the CLOSE of a shorter term list against the OPEN of a
     further term, so lexicographic key order is CNF order.  Each node holds
-    its own key, built once from its children's: O(subtree size) per node."""
+    its own key, built once from its children's: O(subtree size) per node,
+    except deep tower levels, whose keys wait for a reader (``_Tower``)."""
 
-    terms: tuple[tuple["Ordinal", int], ...] = field(default=(), compare=False)
+    terms: tuple[tuple["Ordinal", int], ...] = ()
     key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -41,11 +42,12 @@ class Ordinal:
                 raise ValueError(f"exponent {e!r} is not an Ordinal")
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"coefficient {c!r} must be a positive integer")
-            if prev is not None and prev.key <= e.key:
+            ek = e.key
+            if prev is not None and prev <= ek:
                 raise ValueError("exponents must be strictly decreasing")
-            key += e.key
+            key += ek
             key.append(c)
-            prev = e
+            prev = ek
         key.append(CLOSE)
         object.__setattr__(self, "key", tuple(key))
 
@@ -62,12 +64,64 @@ class Ordinal:
             raise ValueError(f"{self} is infinite")
         return self.terms[0][1] if self.terms else 0
 
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, Ordinal) else NotImplemented
+
+    def __lt__(self, other):
+        return self.key < other.key if isinstance(other, Ordinal) else NotImplemented
+
+    def __le__(self, other):
+        return self.key <= other.key if isinstance(other, Ordinal) else NotImplemented
+
+    def __gt__(self, other):
+        return self.key > other.key if isinstance(other, Ordinal) else NotImplemented
+
+    def __ge__(self, other):
+        return self.key >= other.key if isinstance(other, Ordinal) else NotImplemented
+
     def __str__(self) -> str:
         return print_ordinal(self)
 
     def __repr__(self) -> str:
         return f"Ordinal<{print_ordinal(self)}>"
 
+
+class _Tower(Ordinal):
+    """A single term w^e*c whose exponent has a long key, as the levels of a
+    deep tower are.  Its own key is built when first read, from the first
+    eager key below it, so a tower of depth d holds O(d) key tokens until
+    its levels are read, not O(d^2): parsing or printing a 5,000-level
+    tower reads only the top key."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        ((_, c),) = self.terms
+        if not isinstance(c, int) or c < 1:
+            raise ValueError(f"coefficient {c!r} must be a positive integer")
+
+    def __getattr__(self, name):  # reached only while the key slot is empty
+        if name != "key":
+            raise AttributeError(name)
+        coeffs, a = [], self
+        while type(a) is _Tower:
+            ((a, c),) = a.terms
+            coeffs.append(c)
+        key = [OPEN] * len(coeffs)
+        key += a.key
+        for c in reversed(coeffs):
+            key += (c, CLOSE)
+        key = tuple(key)
+        object.__setattr__(self, "key", key)
+        return key
+
+
+# omega_pow over an exponent with a longer key defers the key: about 20
+# levels of w^(w^(...)) are built eagerly
+_EAGER_EXPONENT_KEY = 64
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
@@ -82,6 +136,8 @@ def from_int(n: int) -> Ordinal:
 
 def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     """w^e * coeff as a single-term ordinal."""
+    if type(e) is _Tower or isinstance(e, Ordinal) and len(e.key) > _EAGER_EXPONENT_KEY:
+        return _Tower(((e, coeff),))
     return Ordinal(((e, coeff),))
 
 
@@ -147,51 +203,100 @@ def left_subtract_omega(e: Ordinal) -> Ordinal:
 # Text form.  Canonical printer output:
 #   0                        for zero
 #   terms joined by "+", finite term as a bare number,
-#   infinite term as  w^(E)*c  with E printed recursively.
+#   infinite term as  w^(E)*c  with E printed the same way.
 # The parser also accepts the sugar  w,  w*c,  w^w,  w^NAT,  and evaluates
 # the "+" chain with ordinal addition, so any sum is accepted and normalized.
+# Neither recurses, so text of any depth prints and parses.
 
 
 def print_ordinal(a: Ordinal) -> str:
+    # one walk over the key inside its outer OPEN ... CLOSE: OPEN opens
+    # "w^(", CLOSE c closes ")*c", and "+" goes wherever an OPEN follows a
+    # coefficient; OPEN CLOSE c, a finite term, comes out as "w^()*c" and
+    # is cut to "c" at the end
     if a.is_zero:
         return "0"
-    parts = []
-    for e, c in a.terms:
-        if e.is_zero:
-            parts.append(str(c))
+    out = []
+    prev = OPEN
+    for t in a.key[1:-1]:
+        if t > 0:
+            out.append(str(t))
+        elif t == OPEN:
+            out.append("+w^(" if prev > 0 else "w^(")
         else:
-            parts.append(f"w^({print_ordinal(e)})*{c}")
-    return "+".join(parts)
+            out.append(")*")
+        prev = t
+    return "".join(out).replace("w^()*", "")
 
 
-def _parse_term(s: Scanner) -> Ordinal:
-    if s.take("w"):
-        exp = ONE
-        if s.take("^"):
-            if s.take("("):
-                exp = _parse_sum(s)
-                s.expect(")")
-            elif s.take("w"):
-                exp = OMEGA  # w^w sugar
-            else:
-                exp = from_int(s.nat())
-        coeff = s.nat() if s.take("*") else 1
-        if coeff == 0:
-            return ZERO
-        return omega_pow(exp, coeff)
-    return from_int(s.nat())
-
-
-def _parse_sum(s: Scanner) -> Ordinal:
-    total = _parse_term(s)
-    while s.take("+"):
-        total = add(total, _parse_term(s))
-    return total
+def _normal(terms: list) -> Ordinal:
+    # the sum of (exponent, coefficient) terms read left to right, normalized
+    # right to left: a term below the running lead is absorbed, an equal one
+    # merges
+    if len(terms) > 1:
+        out = []
+        for e, c in reversed(terms):
+            if out:
+                lead, lc = out[-1]
+                if e.key < lead.key:
+                    continue
+                if e.key == lead.key:
+                    out[-1] = (lead, lc + c)
+                    continue
+            out.append((e, c))
+        out.reverse()
+        terms = out
+    if len(terms) == 1:
+        return omega_pow(*terms[0])
+    return Ordinal(tuple(terms))
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    """Parse the text form; malformed or too deeply nested text raises ParseError."""
-    return Scanner(text).parse(_parse_sum)
+    """Parse the text form; malformed text raises ParseError."""
+    toks = tokens(text)
+    groups = []  # the terms of each enclosing sum, one list per open "w^("
+    terms = []  # (exponent, coefficient) of the sum being read
+    i = 0
+    while True:
+        exp = None  # a w-term's exponent, its coefficient still to read
+        if toks[i] != "w":
+            n = number(text, toks, i)
+            if n:
+                terms.append((ZERO, n))
+            i += 1
+        elif toks[i + 1] != "^":
+            exp = ONE
+            i += 1
+        elif toks[i + 2] == "(":
+            groups.append(terms)
+            terms = []
+            i += 3
+            continue
+        else:
+            exp = OMEGA if toks[i + 2] == "w" else from_int(number(text, toks, i + 2))
+            i += 3
+        while True:
+            if exp is not None:  # an optional "*NAT"; a zero drops the term
+                c = 1
+                if toks[i] == "*":
+                    c = number(text, toks, i + 1)
+                    i += 2
+                if c:
+                    terms.append((exp, c))
+            # a term is read: "+" starts the next one, ")" closes a group
+            tok = toks[i]
+            if tok == "+":
+                i += 1
+                break
+            if not groups:
+                if tok:
+                    raise ParseError("trailing input", offset(text, i))
+                return _normal(terms)
+            if tok != ")":
+                raise ParseError("expected ')'", offset(text, i))
+            exp = _normal(terms)
+            terms = groups.pop()
+            i += 1
 
 
 def ordinal_to_json(a: Ordinal) -> list:
@@ -204,7 +309,7 @@ def _ordinal_from_tree(obj) -> Ordinal:
         isinstance(t, list) and len(t) == 2 and isinstance(t[1], str) for t in obj
     ):
         raise ParseError(f"expected a list of [exponent, \"decimal\"] terms, got {obj!r}", 0)
-    return Ordinal(tuple((_ordinal_from_tree(e), Scanner(c).parse(Scanner.nat)) for e, c in obj))
+    return Ordinal(tuple((_ordinal_from_tree(e), nat(c)) for e, c in obj))
 
 
 def ordinal_from_json(obj) -> Ordinal:

@@ -27,7 +27,6 @@ from .grzeval import exceeds
 from .ordinals import (
     ONE,
     Ordinal,
-    add,
     coeff_measure,
     mul_omega_omega,
     omega_pow,
@@ -113,8 +112,10 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
     start = 0
     for k in range(len(alphas) - 1):  # block k: i = start + x with x < C(a_{k+1})
         start += measures[k]  # C(a_0) + ... + C(a_k)
-        lifted = mul_omega_omega(alphas[k])
-        entries.extend(add(lifted, slow_g(n, k, x)) for x in range(max(0, ell - start), measures[k + 1]))
+        # w^w * a_k + rank: every exponent of w^w * a_k is at least w and
+        # every exponent of the rank is finite, so the terms just concatenate
+        lifted = mul_omega_omega(alphas[k]).terms
+        entries.extend(Ordinal(lifted + slow_g(n, k, x).terms) for x in range(max(0, ell - start), measures[k + 1]))
     return SlowChain(tuple(entries), ell, height, note)
 
 

@@ -20,6 +20,17 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(argv):
+    """The CLI in a fresh interpreter: no module preloaded, no pytest stack."""
+    env = {k: v for k, v in os.environ.items() if k not in ("GRZ_CAP", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "grzseq.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_repr_basic(capsys):
     code, out, _ = invoke(capsys, "repr", "9", "--base", "2")
     assert code == 0 and out.strip() == "[(2,1),(0,1)]_2"
@@ -139,15 +150,33 @@ def test_ord_C(capsys):
 def test_ord_C_bad_term_is_usage(capsys):
     code, _, _ = invoke(capsys, "ord", "C", "w^")
     assert code == 2
-    code, _, err = invoke(capsys, "ord", "C", "w^(" * 1500 + "1" + ")" * 1500)
-    assert code == 2 and "nesting too deep" in err and "Traceback" not in err
+    # ordinal text has no depth limit: 1,500 levels is an ordinary term
+    code, out, err = invoke(capsys, "ord", "C", "w^(" * 1500 + "1" + ")" * 1500)
+    assert code == 0 and out.strip() == "1" and err == ""
 
 
-def test_chain_output_too_deep_to_print_is_usage(capsys, tmp_path):
+def test_chain_output_of_any_depth_prints_and_verifies(capsys, tmp_path):
+    src, out_path = tmp_path / "chain.txt", tmp_path / "slow.txt"
+    src.write_text("w*2\nw\n1\n0\n", encoding="utf-8")
+    argv = ["chain", "slowdown", "--input", str(src), "--index", "2", "--const", "1200"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == "" and out.count("\n") == 1203  # 1,200 entries and 3 comments
+    assert out.startswith("w^(" * 1203 + "1" + ")*1" * 1203 + "\n")
+    proc = run_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    out_path.write_text(out, encoding="utf-8")
+    code, verified, err = invoke(capsys, "chain", "verify", "--input", str(out_path))
+    assert code == 0 and err == "" and verified.startswith("ok: 1200 entries")
+    proc = run_cli(["chain", "verify", "--input", str(out_path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, verified, "")
+
+
+def test_chain_json_too_deep_to_write_is_usage(capsys, tmp_path):
+    # JSON stays bounded by the stdlib's recursion: past it, a usage error
     src = tmp_path / "chain.txt"
     src.write_text("w*2\nw\n1\n0\n", encoding="utf-8")
-    code, _, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", "1200")
-    assert code == 2 and "nesting too deep" in err and "Traceback" not in err
+    code, out, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", "1200", "--json")
+    assert code == 2 and out == "" and "nesting too deep" in err and "Traceback" not in err
 
 
 def test_ord_inD(capsys):
@@ -269,7 +298,6 @@ def test_big_numbers_abbreviate_in_text_only(capsys):
 # One fresh process per subcommand.  The calls above cannot see an import a
 # command forgot, because this session has already loaded every module.
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 SUBCOMMANDS = [
     ["repr", "9", "--base", "2"],
     ["shift", "4", "--from", "2", "--to", "3"],
@@ -286,7 +314,7 @@ SUBCOMMANDS = [
 FRESH = [(argv, 0) for argv in SUBCOMMANDS] + [(argv + ["--json"], 0) for argv in SUBCOMMANDS] + [
     (["shift", "8", "--from", "2", "--to", "3"], 1),
     (["ord", "C", "w^"], 2),
-    (["ord", "C", "w^(" * 1500 + "1" + ")" * 1500], 2),
+    (["ord", "C", "w^(" * 1500 + "1" + ")" * 1500], 0),
     (["ord", "Q", "w^2", "--base", "2"], 3),
     (["chain", "verify", "--input", "BAD"], 3),
 ]
@@ -298,10 +326,7 @@ def test_subcommand_in_a_fresh_process(capsys, tmp_path, argv, expected):
     (tmp_path / "bad.txt").write_text("w*2\nw*2\n", encoding="utf-8")
     files = {"CHAIN": str(tmp_path / "chain.txt"), "BAD": str(tmp_path / "bad.txt")}
     argv = [files.get(a, a) for a in argv]
-    env = {k: v for k, v in os.environ.items() if k not in ("GRZ_CAP", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-m", "grzseq.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_cli(argv)
     assert proc.returncode == expected and "Traceback" not in proc.stderr, proc.stderr[-500:]
     code, out, _ = invoke(capsys, *argv)
     assert (proc.returncode, proc.stdout) == (code, out)

@@ -1,10 +1,12 @@
 """Codec tests: round-trips, canonicity against the encode oracle, order, shifts."""
 
 import itertools
+import sys
 
 import pytest
 
 from grzseq.frep import (
+    REP_NESTING_LIMIT,
     FRep,
     ParseError,
     RepError,
@@ -414,6 +416,38 @@ def test_parse_trailing_garbage():
     with pytest.raises(ParseError) as err:
         parse_rep("  7", base=3)
     assert err.value.position == 2
+
+
+def at_depth(extra, fn):
+    """fn() called from `extra` frames further down the stack."""
+    return fn() if extra == 0 else at_depth(extra - 1, fn)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_rep_text_nesting_limit_is_fixed():
+    # the same answer from a shallow and a deep caller: the limit is a count
+    # of brackets, not whatever stack the caller has left
+    def nested(levels):
+        return "[(" * levels + "0" + ",1)]_2" * levels
+
+    at, over = nested(REP_NESTING_LIMIT), nested(REP_NESTING_LIMIT + 1)
+
+    def at_the_limit():
+        t = parse_rep(at)
+        return isinstance(t, TRep), print_rep(t) == at, decode_total(t, CAP)
+
+    for extra in (0, 200):
+        assert at_depth(extra, at_the_limit) == (True, True, ExceedsCap(CAP))
+    for extra in (0, 200, sys.getrecursionlimit() - stack_depth() - 40):
+        with pytest.raises(ParseError, match="nesting too deep") as err:
+            at_depth(extra, lambda: parse_rep(over))
+        assert err.value.position == 2 * REP_NESTING_LIMIT  # the first "[" too many
 
 
 def test_json_roundtrip():

@@ -8,8 +8,10 @@ import pytest
 
 from grzseq.order import Ordering, ParseError
 from grzseq.ordinals import (
+    CLOSE,
     OMEGA,
     ONE,
+    OPEN,
     ZERO,
     Ordinal,
     add,
@@ -215,8 +217,8 @@ def test_parse_rejects_garbage():
         parse_ordinal("3w")
     with pytest.raises(ValueError):
         parse_ordinal("")
-    with pytest.raises(ParseError):  # nested past the recursion limit
-        parse_ordinal("w^(" * 1500 + "1" + ")" * 1500)
+    # no depth limit: 1,500 levels parse like any other term
+    assert parse_ordinal("w^(" * 1500 + "1" + ")" * 1500) == omega_tower(1500)
     with pytest.raises(ParseError) as err:  # digits are ASCII 0-9 only
         parse_ordinal("²")
     assert err.value.position == 0
@@ -233,6 +235,37 @@ def test_print_parse_roundtrip():
         assert parse_ordinal(print_ordinal(a)) == a
     assert print_ordinal(ZERO) == "0"
     assert print_ordinal(OMEGA) == "w^(1)*1"
+
+
+def test_text_of_any_depth_round_trips():
+    # far past the interpreter's recursion limit
+    tower = omega_tower(5000)
+    text = print_ordinal(tower)
+    assert text == "w^(" * 5000 + "1" + ")*1" * 5000
+    assert parse_ordinal(text) == tower
+
+
+def test_deep_towers_hold_one_key():
+    # levels above the first few read their keys only when asked, so a tower
+    # of depth d holds O(d) key tokens; every level still compares as its key
+    tower = parse_ordinal("w^(" * 3000 + "1" + ")*1" * 3000)
+    levels = [tower]
+    while levels[-1].terms:
+        levels.append(levels[-1].terms[0][0])
+    assert len(levels) == 3002 and levels[-1] == ZERO
+    assert tower.key == (OPEN,) * 3002 + (CLOSE, 1) * 3001 + (CLOSE,)
+    lazy = [a for a in levels if type(a) is not Ordinal]
+    assert len(lazy) > 2900  # the key above was built without theirs
+    # levels[j] is w_{3000-j}
+    assert levels[1000] == omega_tower(2000) and hash(levels[1000]) == hash(omega_tower(2000))
+    assert omega_tower(2000) < levels[999] and levels[999] > levels[1000] >= omega_tower(2000)
+    assert sorted(levels[::-500]) == levels[::-500] and coeff_measure(levels[2]) == 1
+    assert {levels[5], omega_tower(2995)} == {omega_tower(2995)}
+    eager = Ordinal(((levels[6], 1),))  # the constructor itself builds the key
+    assert type(eager) is Ordinal and type(levels[5]) is not Ordinal
+    assert eager == levels[5] and levels[5] == eager and hash(eager) == hash(levels[5])
+    assert eager <= levels[5] <= eager and not eager < levels[5] and levels[4] > eager < levels[4]
+    assert compare(eager, levels[4]) == Ordering.LT and {eager, levels[5]} == {eager}
 
 
 def test_json_roundtrip():

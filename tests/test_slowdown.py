@@ -1,10 +1,13 @@
 """Chain compression: pinned outputs, the verifier as end-to-end oracle, rejections."""
 
+import random
+
 import pytest
 
 from grzseq.ordinals import (
     ONE,
     ZERO,
+    Ordinal,
     add,
     coeff_measure,
     compare,
@@ -16,6 +19,7 @@ from grzseq.ordinals import (
 )
 from grzseq.order import Ordering
 from grzseq.slowdown import (
+    SlowChain,
     chain_to_text,
     compress,
     parse_chain_text,
@@ -219,6 +223,53 @@ def test_compress_matches_per_entry_reference(alphas, n):
         assert (out.tower_prefix_len, out.tower_height_base, out.note) == (ell, height, note), c
         notes += note is not None
     assert notes >= 2  # c = total and c above it leave nothing to decompose
+
+
+def _add_compress(alphas, n, c):
+    # the compressor as it was before it built each entry in one constructor
+    # call: w^w * a_k + rank through ordinal addition
+    measures = [coeff_measure(a) for a in alphas]
+    ell = max(c, measures[0])
+    target = mul_omega_omega(alphas[0])
+    tower, t = ONE, 0
+    while tower <= target:
+        tower, t = omega_pow(tower), t + 1
+    height = ell + t
+    entries = []
+    for _ in range(ell):
+        tower = omega_pow(tower)
+        entries.append(tower)
+    entries.reverse()
+    total = sum(measures)
+    note = None
+    if ell >= total:
+        note = (
+            f"tower prefix (length {ell}) already covers every index "
+            f"decomposable in this prefix (total measure {total})"
+        )
+    start = 0
+    for k in range(len(alphas) - 1):
+        start += measures[k]
+        lifted = mul_omega_omega(alphas[k])
+        entries.extend(add(lifted, slow_g(n, k, x)) for x in range(max(0, ell - start), measures[k + 1]))
+    return SlowChain(tuple(entries), ell, height, note)
+
+
+def _random_ordinal(rng, depth):
+    exps = set()
+    for _ in range(rng.randint(1, 3)):
+        exps.add(_random_ordinal(rng, depth - 1) if depth and rng.random() < 0.6 else from_int(rng.randint(0, 6)))
+    return Ordinal(tuple((e, rng.randint(1, 8)) for e in sorted(exps, reverse=True)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compress_matches_add_reference_on_random_chains(seed):
+    rng = random.Random(seed)
+    alphas = sorted({_random_ordinal(rng, 2) for _ in range(rng.randint(2, 30))}, reverse=True)
+    if seed % 2:
+        alphas.append(ZERO)
+    for n, c in ((2, 0), (2, 5), (3, 1), (3, 40)):
+        assert compress(alphas, n, c) == _add_compress(alphas, n, c)
 
 
 def test_compress_rejects_non_descending():
