@@ -94,22 +94,29 @@ def _step(x: int, base: int) -> tuple[int, int, int]:
     return e, i, y
 
 
-def encode(x: int, k: int) -> FRep:
-    """The unique representation of x with base k (greedy tower search)."""
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(x, int) or x < 0:
-        raise ValueError(f"value must be a non-negative integer, got {x!r}")
-    if x < k:
-        return FRep(k, x)
+def _pairs(x: int, k: int) -> Pairs:
+    # the pairs of x >= k at base k, arguments unchecked
     if x == k:
-        return FRep(k, ((0, 0),))
+        return ((0, 0),)
     pairs = []
     base = k
     while x > base:
         e, i, base = _step(x, base)
         pairs.append((e, i))
-    return FRep(k, tuple(pairs))
+    return tuple(pairs)
+
+
+def _check_encode(x: int, k: int) -> None:
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"base must be an integer >= 2, got {k!r}")
+    if not isinstance(x, int) or x < 0:
+        raise ValueError(f"value must be a non-negative integer, got {x!r}")
+
+
+def encode(x: int, k: int) -> FRep:
+    """The unique representation of x with base k (greedy tower search)."""
+    _check_encode(x, k)
+    return FRep(k, x if x < k else _pairs(x, k))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +141,20 @@ def _check_shape(r: FRep) -> None:
         prev = e
 
 
+def _check_cap(cap: int) -> None:
+    # the check grzeval's public functions make on theirs
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
+
+
 def decode(r: FRep, cap: int) -> BoundedNat:
     """Fold the tower back into a number, cutoff-aware.
 
     Requires the shape invariants (atom below base, strictly decreasing
     exponents); the deeper canonicity constraints are ``validate``'s job.
+    A cap that is not a non-negative integer raises ValueError.
     """
+    _check_cap(cap)
     _check_shape(r)
     if r.is_atom:
         v = r.body
@@ -172,49 +187,73 @@ def compare(a: FRep, b: FRep) -> Ordering:
 
 # ---------------------------------------------------------------------------
 # Base shift.  Exponent values are re-encoded at the old base and shifted
-# recursively; counts stay put (the hereditary variant below shifts both).
-# Internal workers use int-or-None with None meaning "exceeds cap"; any
-# oversized component forces the total over the cap because the folded value
-# dominates every exponent and count that occurs with a positive count.
+# hereditarily; counts stay put (the hereditary variant below shifts both).
+# Values are int-or-None, None meaning "exceeds cap"; any oversized component
+# forces the total over the cap because the folded value dominates every
+# exponent and count that occurs with a positive count.
 
 
-def _shift_component(v: int, k: int, m: int, cap: int, hereditary: bool) -> int | None:
-    if v < k:
-        return v
-    return fold(_shifted_pairs(v, k, m, cap, hereditary), m, cap)
+def _shifted(x: int, k: int, m: int, cap: int, hereditary: bool) -> int | None:
+    # one walk, no recursion, as _decode_total.  The pair form being shifted
+    # is (its value u, its pairs p at base k, index i of the pair being read,
+    # value folded so far, shifted exponent of pair i or -1 while it is
+    # shifted); the ones around it wait on a stack.  As fold over lazily
+    # shifted pairs: a count is shifted only once its exponent fits the cap,
+    # and nothing after the first over-cap component is read.  `shifted`
+    # maps each value >= k shifted in this call to its answer, which is the
+    # same wherever the value occurs; -1 stands for one not shifted yet.
+    none_open = 0, (), 0, 0, -1
+    shifted, stack = {}, []
+    u, p, i, y, e = none_open
+    w = x  # the value to shift next
+    while True:
+        v = w if w < k else shifted.get(w, -1)
+        if v == -1:
+            if p:
+                stack.append((u, p, i, y, e))
+            u, p, i, y, e = w, _pairs(w, k), 0, m, -1
+            w = p[0][0]
+            continue
+        while p:  # hand v on until a pair form asks for its next item
+            if v is not None:
+                if e < 0:
+                    if hereditary:
+                        e, w = v, p[i][1]
+                        break
+                    e, v = v, p[i][1]  # the count stays put
+                v = fold(((e, v),), y, cap)
+                if v is not None and i + 1 < len(p):
+                    i, y, e = i + 1, v, -1
+                    w = p[i][0]
+                    break
+            shifted[u] = v
+            u, p, i, y, e = stack.pop() if stack else none_open
+        else:
+            return v
 
 
-def _shifted_pairs(v: int, k: int, m: int, cap: int, hereditary: bool):
-    # lazily, for fold: a count is shifted only once its exponent fits the cap
-    for e, c in encode(v, k).pairs:
-        e2 = _shift_component(e, k, m, cap, hereditary)
-        if hereditary and e2 is not None:
-            c = _shift_component(c, k, m, cap, hereditary)
-        yield e2, c
-
-
-def _shift_pre(x: int, k: int, m: int) -> None:
+def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
     if not (isinstance(k, int) and isinstance(m, int) and 2 <= k <= m):
         raise ValueError(f"need 2 <= from-base <= to-base, got {k!r}, {m!r}")
     if not isinstance(x, int) or x < 0:
         raise ValueError(f"value must be a non-negative integer, got {x!r}")
+    _check_cap(cap)
+    v = _shifted(x, k, m, cap, hereditary)
+    return Exact(v) if v is not None else ExceedsCap(cap)
 
 
 def shift_value(x: int, k: int, m: int, cap: int) -> BoundedNat:
     """Value of x with base k re-read at base m (exponents shifted, counts kept).
 
-    Values below the base shift to themselves.
+    Values below the base shift to themselves.  A cap that is not a
+    non-negative integer raises ValueError.
     """
-    _shift_pre(x, k, m)
-    v = _shift_component(x, k, m, cap, hereditary=False)
-    return Exact(v) if v is not None else ExceedsCap(cap)
+    return _shift(x, k, m, cap, hereditary=False)
 
 
 def shift_total_value(x: int, k: int, m: int, cap: int) -> BoundedNat:
     """Hereditary base shift: counts are shifted along with the exponents."""
-    _shift_pre(x, k, m)
-    v = _shift_component(x, k, m, cap, hereditary=True)
-    return Exact(v) if v is not None else ExceedsCap(cap)
+    return _shift(x, k, m, cap, hereditary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -263,41 +302,76 @@ def validate(r: FRep) -> ValidationReport:
 
 def to_total(x: int, k: int) -> TRep:
     """Represent x with both exponents and counts recursively represented."""
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(x, int) or x < 0:
-        raise ValueError(f"value must be a non-negative integer, got {x!r}")
-    if x < k:
-        return TRep(k, x)
-    r = encode(x, k)
-    return TRep(k, tuple((to_total(e, k), to_total(c, k)) for e, c in r.pairs))
+    _check_encode(x, k)
+    # each distinct sub-value is encoded once, then its tree is built once, in
+    # increasing order (the components of a pair form lie below its value),
+    # so equal sub-trees are shared (TRep is frozen).  Trees are about half
+    # as deep as x has bits, so neither pass recurses.
+    pairs, todo = {}, [x]
+    while todo:
+        v = todo.pop()
+        if v not in pairs:
+            pairs[v] = p = _pairs(v, k) if v >= k else ()
+            for e, c in p:
+                todo += e, c
+    built = {}
+    for v in sorted(pairs):
+        built[v] = TRep(k, tuple((built[e], built[c]) for e, c in pairs[v]) if v >= k else v)
+    return built[x]
 
 
 def _decode_total(t: TRep, cap: int) -> int | None:
-    if t.is_atom:
-        v = t.body
-        if not 0 <= v < t.base:
-            raise RepError(f"atom value {v!r} not in [0, base {t.base})")
-        return v if v <= cap else None
-    if t.body == ():
-        raise RepError("pair list must be non-empty")
-    return fold(_decoded_pairs(t, cap), t.base, cap)
-
-
-def _decoded_pairs(t: TRep, cap: int):
-    # lazily, for fold: a count is decoded only once its exponent fits the cap.
-    # An over-cap exponent after an exact one exceeds cap >= that one, so it
-    # breaks the strict descent too.
-    prev = None
-    for e, c in t.pairs:
-        ev = _decode_total(e, cap)
-        if prev is not None and (ev is None or ev >= prev):
-            raise RepError(f"exponents not strictly decreasing after {prev}")
-        prev = ev
-        yield ev, None if ev is None else _decode_total(c, cap)
+    # one walk, no recursion.  The pair form being read is (pairs, index i of
+    # the pair being read, value y folded so far, exponent of pair i or -1
+    # while it is read, exponent of pair i - 1, None if past cap or i = 0);
+    # the ones around it wait on a stack.  As fold over lazily decoded pairs,
+    # a count is decoded only once its exponent fits the cap, and nothing
+    # after the first over-cap value is read.  An exponent past cap makes
+    # F_e^(c)(y) > e > cap for c >= 1 (y >= base >= 2), and leaves y for
+    # c = 0.  Coming after an exact exponent, it breaks the strict descent.
+    none_open = (), 0, 0, 0, None
+    stack = []
+    pairs, i, y, e, prev = none_open
+    node = t
+    while True:
+        v = node.body
+        if isinstance(v, int):
+            if not 0 <= v < node.base:
+                raise RepError(f"atom value {v!r} not in [0, base {node.base})")
+            if v > cap:
+                v = None
+        elif not v:
+            raise RepError("pair list must be non-empty")
+        else:
+            if pairs:
+                stack.append((pairs, i, y, e, prev))
+            pairs, i, y, e, prev = v, 0, node.base, -1, None
+            node = v[0][0]
+            continue
+        while pairs:  # hand v on until a pair form asks for its next item
+            if e < 0:
+                if prev is not None and (v is None or v >= prev):
+                    raise RepError(f"exponents not strictly decreasing after {prev}")
+                if v is not None:
+                    e = v
+                    node = pairs[i][1]
+                    break
+                v = y if pairs[i][1].body == 0 and y <= cap else None
+            elif v is not None:
+                v = fold(((e, v),), y, cap)
+            if v is not None and i + 1 < len(pairs):
+                i, y, e, prev = i + 1, v, -1, e if e >= 0 else None
+                node = pairs[i][0]
+                break
+            pairs, i, y, e, prev = stack.pop() if stack else none_open
+        else:
+            return v
 
 
 def decode_total(t: TRep, cap: int) -> BoundedNat:
+    """Fold a hereditary tree back into a number, cutoff-aware.  A cap that is
+    not a non-negative integer raises ValueError."""
+    _check_cap(cap)
     v = _decode_total(t, cap)
     return Exact(v) if v is not None else ExceedsCap(cap)
 
@@ -320,9 +394,10 @@ def print_rep(r: FRep | TRep) -> str:
     return "[" + ",".join(items) + "]_" + str(r.base)
 
 
-# Brackets nested deeper than this are rejected: every level of a valid TRep
-# is a tower over the one below, so a few levels already pass any cap, and
-# the readers, print_rep and decode_total recurse once per level.
+# Brackets, or JSON pair objects, nested deeper than this are rejected,
+# whatever the caller's stack: the readers, print_rep and rep_to_json recurse
+# once per level.  A to_total tree is about half as deep as its value has
+# bits, so the text of one past about 120 digits is too deep to read back.
 REP_NESTING_LIMIT = 200
 
 
@@ -424,23 +499,27 @@ def rep_to_json(r: FRep | TRep) -> dict:
     }
 
 
-def _raw_from_json(obj):
+def _raw_from_json(obj, depth: int = 0):
     # the raw tree _parse_raw builds: (value, 0) for a decimal string (JSON
-    # carries no text offsets), (pairs, base) for a pair object
+    # carries no text offsets), (pairs, base) for a pair object, at most
+    # REP_NESTING_LIMIT of them deep, as brackets in the text
     match obj:
         case str():
             return nat(obj), 0
         case {"base": str(b), "pairs": [_, *_] as pairs} if len(obj) == 2 and all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):
-            return [(_raw_from_json(e), _raw_from_json(c)) for e, c in pairs], nat(b)
+            if depth == REP_NESTING_LIMIT:
+                raise ParseError("nesting too deep", 0)
+            return [(_raw_from_json(e, depth + 1), _raw_from_json(c, depth + 1)) for e, c in pairs], nat(b)
     raise RepError(f"expected a decimal string or a pair object, got {obj!r}")
 
 
 def rep_from_json(text_or_obj) -> FRep | TRep:
     """Read what ``rep_to_json`` writes, with the text reader's checks.
 
-    JSON nested past the interpreter's recursion limit raises ParseError.
+    Pair objects nested past ``REP_NESTING_LIMIT``, and JSON text nested past
+    the interpreter's recursion limit, raise ParseError.
     """
     import json
 

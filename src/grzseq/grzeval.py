@@ -114,14 +114,33 @@ def fold(pairs: Iterable[tuple[int | None, int | None]], base: int, cap: int) ->
 
     A None exponent or count stands for a component already above cap and
     makes the whole fold None.  Pairs are consumed lazily: nothing after the
-    first over-cap component is read.
+    first over-cap component is read.  The iterates of F_0, F_1 and F_2 are
+    folded in line, with _iter's bounds; higher exponents go through _iter.
     """
-    y: int | None = base
+    y = base
+    bits = cap.bit_length()
     for e, c in pairs:
         if e is None or c is None:
             return None
-        y = _iter(e, c, y, cap)
-        if y is None:
+        if e == 0:
+            y += c
+        elif y == 0:
+            continue  # 0 is a fixed point of F_e for e >= 1
+        elif e == 1:
+            if c >= bits:
+                return None  # y * 2^c >= 2^c > cap
+            y <<= c
+        elif e == 2:
+            for _ in range(c):
+                # y * 2^y >= 2^y > cap; a y past cap is >= bits and stops here
+                if y >= bits:
+                    return None
+                y <<= y
+        else:
+            y = _iter(e, c, y, cap)
+            if y is None:
+                return None
+        if y > cap:
             return None
     return y
 

@@ -300,7 +300,19 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def ordinal_to_json(a: Ordinal) -> list:
-    return [[ordinal_to_json(e), str(c)] for e, c in a.terms]
+    # one walk over the key, as print_ordinal: OPEN opens a term list, CLOSE
+    # hands it to the list below as the next exponent, and a coefficient
+    # pairs that exponent with its decimal string
+    lists = [[]]
+    for t in a.key:
+        if t == OPEN:
+            lists.append([])
+        elif t == CLOSE:
+            done = lists.pop()
+            lists[-1].append(done)
+        else:
+            lists[-1][-1] = [lists[-1][-1], str(t)]
+    return lists[0][0]
 
 
 def _ordinal_from_tree(obj) -> Ordinal:

@@ -1,6 +1,7 @@
 """Codec tests: round-trips, canonicity against the encode oracle, order, shifts."""
 
 import itertools
+import json
 import sys
 
 import pytest
@@ -209,6 +210,30 @@ def test_shift_rejects_bad_bases():
         shift_value(5, 1, 3, CAP)
 
 
+BAD_CAPS = [-1, 2.5, True, False, "7", None]
+
+
+@pytest.mark.parametrize("cap", BAD_CAPS, ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cap: decode(encode(9, 2), cap),
+        lambda cap: decode(encode(1, 2), cap),  # an atom too
+        lambda cap: decode_total(to_total(9, 2), cap),
+        lambda cap: shift_value(9, 2, 3, cap),
+        lambda cap: shift_value(1, 2, 3, cap),  # below the base too
+        lambda cap: shift_total_value(9, 2, 3, cap),
+    ],
+    ids=["decode", "decode_atom", "decode_total", "shift_value", "shift_value_atom", "shift_total_value"],
+)
+def test_codec_rejects_a_cap_that_is_not_a_natural(call, cap):
+    # the check eval_F, eval_F_iter and exceeds make on theirs
+    with pytest.raises(ValueError, match="cap must be a non-negative integer"):
+        call(cap)
+    with pytest.raises(ValueError, match="cap must be a non-negative integer"):
+        eval_F(1, 2, cap)
+
+
 def test_shift_same_base_is_identity():
     for x in range(0, 200):
         assert shift_value(x, 3, 3, CAP) == Exact(x)
@@ -341,6 +366,17 @@ def test_decode_total_stops_at_an_over_cap_exponent():
         decode_total(TRep(2, ((TRep(2, 1), TRep(2, 5)),)), 100)
 
 
+def test_decode_total_over_cap_exponent_with_count_zero():
+    # F_e^(0)(y) = y however large e is: [(3,0)]_2 is 2, and 3 = [(0,1)]_2
+    # nested as the exponent is past a cap of 2
+    t = TRep(2, ((to_total(3, 2), TRep(2, 0)),))
+    assert decode_total(t, 2) == Exact(2) and decode_total(t, 1) == ExceedsCap(1)
+    t = TRep(2, ((to_total(10**6, 2), TRep(2, 0)), (TRep(2, 1), TRep(2, 1))))
+    assert decode_total(t, 100) == Exact(4) and decode_total(t, 3) == ExceedsCap(3)
+    with pytest.raises(RepError):  # past cap after an exact exponent still breaks the descent
+        decode_total(TRep(2, ((TRep(2, 1), TRep(2, 1)), (to_total(10**6, 2), TRep(2, 0)))), 100)
+
+
 def test_decode_total_rejects_an_empty_pair_list():
     with pytest.raises(RepError):
         decode_total(TRep(2, ()), CAP)
@@ -450,9 +486,28 @@ def test_rep_text_nesting_limit_is_fixed():
         assert err.value.position == 2 * REP_NESTING_LIMIT  # the first "[" too many
 
 
-def test_json_roundtrip():
-    import json
+def test_rep_json_nesting_limit_matches_the_text_reader():
+    # a pair object per bracket: what one reader takes the other takes too
+    def nested(levels):
+        text, obj = "0", "0"
+        for _ in range(levels):
+            text = "[(" + text + ",1)]_2"
+            obj = {"base": "2", "pairs": [[obj, "1"]]}
+        return text, obj
 
+    text, obj = nested(REP_NESTING_LIMIT)
+    for arg in (obj, json.dumps(obj)):
+        t = rep_from_json(arg)
+        # compared as text: == on trees this deep recurses past the stack
+        assert isinstance(t, TRep) and print_rep(t) == text
+        assert print_rep(parse_rep(print_rep(t))) == text
+    text, obj = nested(REP_NESTING_LIMIT + 1)
+    for read, arg in ((parse_rep, text), (rep_from_json, obj), (rep_from_json, json.dumps(obj))):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            read(arg)
+
+
+def test_json_roundtrip():
     for k in (2, 3):
         for x in (0, 1, k, k + 1, 9, 100, 2048):
             r = encode(x, k)

@@ -273,6 +273,32 @@ def test_json_roundtrip():
         assert ordinal_from_json(json.dumps(ordinal_to_json(a))) == a
 
 
+def recursive_ordinal_to_json(a):
+    """The writer as it was: one call per level."""
+    return [[recursive_ordinal_to_json(e), str(c)] for e, c in a.terms]
+
+
+def test_json_writer_matches_the_recursive_one():
+    from grzseq.correspond import o_map
+
+    for a in SMALL:
+        assert ordinal_to_json(a) == recursive_ordinal_to_json(a)
+    for k in (2, 3):
+        for x in range(k, 2000):
+            a = o_map(x, k)
+            assert ordinal_to_json(a) == recursive_ordinal_to_json(a), (x, k)
+
+
+def test_json_writer_takes_any_depth():
+    # omega_tower(d) is d single-term levels over ONE = [[[], "1"]]
+    v, levels = ordinal_to_json(omega_tower(2000)), 0
+    while v:
+        ((v, c),) = v
+        assert c == "1"
+        levels += 1
+    assert levels == 2001
+
+
 @pytest.mark.parametrize(
     "text",
     [
