@@ -187,49 +187,29 @@ def compare(a: FRep, b: FRep) -> Ordering:
 
 # ---------------------------------------------------------------------------
 # Base shift.  Exponent values are re-encoded at the old base and shifted
-# hereditarily; counts stay put (the hereditary variant below shifts both).
-# Values are int-or-None, None meaning "exceeds cap"; any oversized component
-# forces the total over the cap because the folded value dominates every
-# exponent and count that occurs with a positive count.
+# recursively; counts stay put (the hereditary variant below shifts both).
+# Internal workers use int-or-None with None meaning "exceeds cap"; any
+# oversized component forces the total over the cap because the folded value
+# dominates every exponent and count that occurs with a positive count.
+# `shifted` lives for one public call and maps each value >= k shifted so far
+# to its answer, which is the same wherever the value occurs.
 
 
-def _shifted(x: int, k: int, m: int, cap: int, hereditary: bool) -> int | None:
-    # one walk, no recursion, as _decode_total.  The pair form being shifted
-    # is (its value u, its pairs p at base k, index i of the pair being read,
-    # value folded so far, shifted exponent of pair i or -1 while it is
-    # shifted); the ones around it wait on a stack.  As fold over lazily
-    # shifted pairs: a count is shifted only once its exponent fits the cap,
-    # and nothing after the first over-cap component is read.  `shifted`
-    # maps each value >= k shifted in this call to its answer, which is the
-    # same wherever the value occurs; -1 stands for one not shifted yet.
-    none_open = 0, (), 0, 0, -1
-    shifted, stack = {}, []
-    u, p, i, y, e = none_open
-    w = x  # the value to shift next
-    while True:
-        v = w if w < k else shifted.get(w, -1)
-        if v == -1:
-            if p:
-                stack.append((u, p, i, y, e))
-            u, p, i, y, e = w, _pairs(w, k), 0, m, -1
-            w = p[0][0]
-            continue
-        while p:  # hand v on until a pair form asks for its next item
-            if v is not None:
-                if e < 0:
-                    if hereditary:
-                        e, w = v, p[i][1]
-                        break
-                    e, v = v, p[i][1]  # the count stays put
-                v = fold(((e, v),), y, cap)
-                if v is not None and i + 1 < len(p):
-                    i, y, e = i + 1, v, -1
-                    w = p[i][0]
-                    break
-            shifted[u] = v
-            u, p, i, y, e = stack.pop() if stack else none_open
-        else:
-            return v
+def _shift_component(v: int, k: int, m: int, cap: int, hereditary: bool, shifted: dict) -> int | None:
+    if v < k:
+        return v
+    if v not in shifted:
+        shifted[v] = fold(_shifted_pairs(v, k, m, cap, hereditary, shifted), m, cap)
+    return shifted[v]
+
+
+def _shifted_pairs(v: int, k: int, m: int, cap: int, hereditary: bool, shifted: dict):
+    # lazily, for fold: a count is shifted only once its exponent fits the cap
+    for e, c in _pairs(v, k):
+        e2 = _shift_component(e, k, m, cap, hereditary, shifted)
+        if hereditary and e2 is not None:
+            c = _shift_component(c, k, m, cap, hereditary, shifted)
+        yield e2, c
 
 
 def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
@@ -238,7 +218,7 @@ def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
     if not isinstance(x, int) or x < 0:
         raise ValueError(f"value must be a non-negative integer, got {x!r}")
     _check_cap(cap)
-    v = _shifted(x, k, m, cap, hereditary)
+    v = _shift_component(x, k, m, cap, hereditary, {})
     return Exact(v) if v is not None else ExceedsCap(cap)
 
 
@@ -321,51 +301,39 @@ def to_total(x: int, k: int) -> TRep:
 
 
 def _decode_total(t: TRep, cap: int) -> int | None:
-    # one walk, no recursion.  The pair form being read is (pairs, index i of
-    # the pair being read, value y folded so far, exponent of pair i or -1
-    # while it is read, exponent of pair i - 1, None if past cap or i = 0);
-    # the ones around it wait on a stack.  As fold over lazily decoded pairs,
-    # a count is decoded only once its exponent fits the cap, and nothing
-    # after the first over-cap value is read.  An exponent past cap makes
-    # F_e^(c)(y) > e > cap for c >= 1 (y >= base >= 2), and leaves y for
-    # c = 0.  Coming after an exact exponent, it breaks the strict descent.
-    none_open = (), 0, 0, 0, None
-    stack = []
-    pairs, i, y, e, prev = none_open
-    node = t
-    while True:
-        v = node.body
-        if isinstance(v, int):
-            if not 0 <= v < node.base:
-                raise RepError(f"atom value {v!r} not in [0, base {node.base})")
-            if v > cap:
-                v = None
-        elif not v:
-            raise RepError("pair list must be non-empty")
+    if t.is_atom:
+        v = t.body
+        if not 0 <= v < t.base:
+            raise RepError(f"atom value {v!r} not in [0, base {t.base})")
+        return v if v <= cap else None
+    if t.body == ():
+        raise RepError("pair list must be non-empty")
+    return fold(_decoded_pairs(t, cap), t.base, cap)
+
+
+def _decoded_pairs(t: TRep, cap: int):
+    # lazily, for fold: a count is decoded only once its exponent fits the cap.
+    # An over-cap exponent after an exact one exceeds cap >= that one, so it
+    # breaks the strict descent too.  An exponent e past cap sinks the fold
+    # when its count is positive (F_e^(c)(y) > e > cap, as y >= base >= 2),
+    # and passes y on when its count is the atom 0.  An exact exponent after
+    # it lies below it; one past the cap too cannot be ordered against it
+    # under the cap, so there only a repeat of the same tree is caught.
+    prev = over = None
+    for e, c in t.pairs:
+        ev = _decode_total(e, cap)
+        if prev is not None and (ev is None or ev >= prev):
+            raise RepError(f"exponents not strictly decreasing after {prev}")
+        if ev is None and e == over:
+            raise RepError("exponents not strictly decreasing: one past the cap repeats")
+        prev, over = ev, None
+        if ev is not None:
+            yield ev, _decode_total(c, cap)
+        elif c.body == 0:
+            over = e
+            yield 0, 0  # F_e^(0) is the identity, as F_0^(0)
         else:
-            if pairs:
-                stack.append((pairs, i, y, e, prev))
-            pairs, i, y, e, prev = v, 0, node.base, -1, None
-            node = v[0][0]
-            continue
-        while pairs:  # hand v on until a pair form asks for its next item
-            if e < 0:
-                if prev is not None and (v is None or v >= prev):
-                    raise RepError(f"exponents not strictly decreasing after {prev}")
-                if v is not None:
-                    e = v
-                    node = pairs[i][1]
-                    break
-                v = y if pairs[i][1].body == 0 and y <= cap else None
-            elif v is not None:
-                v = fold(((e, v),), y, cap)
-            if v is not None and i + 1 < len(pairs):
-                i, y, e, prev = i + 1, v, -1, e if e >= 0 else None
-                node = pairs[i][0]
-                break
-            pairs, i, y, e, prev = stack.pop() if stack else none_open
-        else:
-            return v
+            yield None, None
 
 
 def decode_total(t: TRep, cap: int) -> BoundedNat:
@@ -395,9 +363,10 @@ def print_rep(r: FRep | TRep) -> str:
 
 
 # Brackets, or JSON pair objects, nested deeper than this are rejected,
-# whatever the caller's stack: the readers, print_rep and rep_to_json recurse
-# once per level.  A to_total tree is about half as deep as its value has
-# bits, so the text of one past about 120 digits is too deep to read back.
+# whatever the caller's stack: the readers, print_rep, rep_to_json and
+# decode_total recurse once per level.  A to_total tree is about half as
+# deep as its value has bits, so the text of one past about 120 digits is
+# too deep to read back.
 REP_NESTING_LIMIT = 200
 
 

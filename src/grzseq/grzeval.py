@@ -100,6 +100,15 @@ def _iter(n: int, i: int, x: int, cap: int) -> int | None:
     if x == 0:
         return 0  # 0 is a fixed point of F_n for n >= 1
     y = x
+    if n == 2:
+        # F_2(y) = y * 2^y >= 2^y > cap once y >= bitlen(cap); a y past cap
+        # is >= bitlen(cap) too, so it stops at the next round or below
+        bits = cap.bit_length()
+        for _ in range(i):
+            if y >= bits:
+                return None
+            y <<= y
+        return y if y <= cap else None
     while i > 0:
         y = _eval(n, y, cap)
         if y is None:
@@ -114,33 +123,14 @@ def fold(pairs: Iterable[tuple[int | None, int | None]], base: int, cap: int) ->
 
     A None exponent or count stands for a component already above cap and
     makes the whole fold None.  Pairs are consumed lazily: nothing after the
-    first over-cap component is read.  The iterates of F_0, F_1 and F_2 are
-    folded in line, with _iter's bounds; higher exponents go through _iter.
+    first over-cap component is read.
     """
-    y = base
-    bits = cap.bit_length()
+    y: int | None = base
     for e, c in pairs:
         if e is None or c is None:
             return None
-        if e == 0:
-            y += c
-        elif y == 0:
-            continue  # 0 is a fixed point of F_e for e >= 1
-        elif e == 1:
-            if c >= bits:
-                return None  # y * 2^c >= 2^c > cap
-            y <<= c
-        elif e == 2:
-            for _ in range(c):
-                # y * 2^y >= 2^y > cap; a y past cap is >= bits and stops here
-                if y >= bits:
-                    return None
-                y <<= y
-        else:
-            y = _iter(e, c, y, cap)
-            if y is None:
-                return None
-        if y > cap:
+        y = _iter(e, c, y, cap)
+        if y is None:
             return None
     return y
 

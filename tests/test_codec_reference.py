@@ -1,25 +1,17 @@
-"""The hereditary codec that shares sub-values within a call, and the fold
-that iterates F_0, F_1 and F_2 in line, against the bodies they replaced:
-equal trees with identical text and JSON, identical shift answers, and fold
-answers that match a budgeted naive evaluator."""
+"""The hereditary codec that shares sub-values within a call, and the kernel
+that iterates F_2 in one loop, against the bodies they replaced: equal trees
+with identical text and JSON, identical shift answers, and fold answers that
+match a budgeted naive evaluator."""
 
 import json
 import random
 
 import pytest
 
-from grzseq.frep import (
-    REP_NESTING_LIMIT,
-    TRep,
-    decode_total,
-    encode,
-    print_rep,
-    rep_to_json,
-    shift_total_value,
-    shift_value,
-    to_total,
-)
-from grzseq.grzeval import Exact, ExceedsCap, eval_F_iter, fold
+from naive_eval import naive_iter
+
+from grzseq.frep import TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
+from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, fold
 
 
 # ---------------------------------------------------------------------------
@@ -27,12 +19,20 @@ from grzseq.grzeval import Exact, ExceedsCap, eval_F_iter, fold
 
 
 def ref_fold(pairs, base, cap):
-    """One eval_F_iter per pair."""
+    """One eval_F_iter per pair, but F_2 one eval_F at a time, as _iter
+    iterated it."""
     y = base
     for e, c in pairs:
         if e is None or c is None:
             return None
-        v = eval_F_iter(e, c, y, cap)
+        if e == 2:
+            v = Exact(y) if y <= cap else ExceedsCap(cap)
+            for _ in range(c):
+                if isinstance(v, ExceedsCap):
+                    break
+                v = eval_F(2, v.value, cap)
+        else:
+            v = eval_F_iter(e, c, y, cap)
         if not isinstance(v, Exact):
             return None
         y = v.value
@@ -63,19 +63,6 @@ def ref_shifted_pairs(v, k, m, cap, hereditary):
 def ref_shift(x, k, m, cap, hereditary):
     v = ref_shift_component(x, k, m, cap, hereditary)
     return Exact(v) if v is not None else ExceedsCap(cap)
-
-
-def naive_iter(n, i, x, budget):
-    """F_n^(i)(x) by the definition F_{n+1}(x) = F_n^(x)(x), F_0^(i)(x) = x + i,
-    or None once an intermediate passes budget (F_n(x) >= x, so the value
-    does too)."""
-    if n == 0:
-        return x + i if x + i <= budget else None
-    for _ in range(i):
-        x = naive_iter(n - 1, x, x, budget)
-        if x is None:
-            return None
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +121,6 @@ def test_to_total_shares_equal_sub_trees():
     assert to_total(10**30, 2).pairs[0][0] is not t.pairs[0][0]
 
 
-@pytest.mark.parametrize("k", [2, 6])
-def test_deep_trees_build_decode_and_shift(k):
-    # 400 digits make trees about 600 levels deep: the recursive to_total,
-    # decode_total and shift_total_value stopped with RecursionError past
-    # 200-250 digits.
-    # A shift to the same base walks the whole tree and gives x back.
-    for x in bigints((250, 400), each=1):
-        t = to_total(x, k)
-        assert print_rep(t).count("[") > REP_NESTING_LIMIT
-        for cap, want in ((x, Exact(x)), (x - 1, ExceedsCap(x - 1))):
-            assert decode_total(t, cap) == want
-            assert shift_value(x, k, k, cap) == shift_total_value(x, k, k, cap) == want
-
-
 # ---------------------------------------------------------------------------
 # shift_value, shift_total_value
 
@@ -185,7 +158,7 @@ def test_fold_one_pair_matches_naive(e):
 
 
 def test_fold_two_pairs_matches_naive():
-    # the in-line steps hand their value on: every pair of small pairs over y in 0..3
+    # each step hands its value on: every pair of small pairs over y in 0..3
     small = [(e, c) for e in range(4) for c in range(4)]
     for y in range(4):
         for p1 in small:

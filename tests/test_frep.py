@@ -375,6 +375,16 @@ def test_decode_total_over_cap_exponent_with_count_zero():
     assert decode_total(t, 100) == Exact(4) and decode_total(t, 3) == ExceedsCap(3)
     with pytest.raises(RepError):  # past cap after an exact exponent still breaks the descent
         decode_total(TRep(2, ((TRep(2, 1), TRep(2, 1)), (to_total(10**6, 2), TRep(2, 0)))), 100)
+    # two exponents past the cap in a row: [(10,0),(5,0)]_2 is 2 under a cap
+    # of 3, and an exponent repeated past the cap is caught as decode does
+    t = TRep(2, ((to_total(10, 2), TRep(2, 0)), (to_total(5, 2), TRep(2, 0))))
+    assert decode_total(t, 3) == Exact(2)
+    big = to_total(10**6, 2)
+    for tail in ((), ((TRep(2, 1), TRep(2, 1)),)):
+        with pytest.raises(RepError):
+            decode_total(TRep(2, ((big, TRep(2, 0)), (big, TRep(2, 0)), *tail)), 100)
+    with pytest.raises(RepError):
+        decode(FRep(2, ((10**6, 0), (10**6, 0), (1, 1))), 100)
 
 
 def test_decode_total_rejects_an_empty_pair_list():
