@@ -228,9 +228,10 @@ def flip(p: PaddedProfile) -> tuple[int, ...]:
 def g(n: int, k: int, x: int) -> Ordinal:
     """Ordinal rank of x in the window [0, F_n(k)): strictly decreasing in x,
     zero from F_n(k) on, with all coefficients below max(n, k+1, x)+1."""
-    if not isinstance(k, int) or k < 2:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(n, int) or n < 0 or not isinstance(x, int) or x < 0:
+    if (not isinstance(n, int) or isinstance(n, bool) or n < 0
+            or not isinstance(x, int) or isinstance(x, bool) or x < 0):
         raise ValueError("slot count and value must be non-negative integers")
     if n == 0:
         return from_int(max(0, (k + 1) - x))

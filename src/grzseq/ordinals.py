@@ -3,7 +3,8 @@
 An ordinal is a finite sum  w^{a_1} n_1 + ... + w^{a_m} n_m  with strictly
 decreasing ordinal exponents and positive integer coefficients; the empty
 sum is 0.  Construction normalizes nothing and validates everything, so an
-``Ordinal`` in hand is always in normal form.
+``Ordinal`` in hand is always in normal form; the builders that make sure of
+the normal form themselves skip that second check.
 
 Supported arithmetic is what descending-chain bookkeeping needs: comparison,
 addition, left multiplication by w^w, towers w_0 = 1, w_{n+1} = w^{w_n},
@@ -14,6 +15,7 @@ measure C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .order import Ordering, ParseError, nat, number, offset, tokens
 
@@ -40,7 +42,7 @@ class Ordinal:
         for e, c in self.terms:
             if not isinstance(e, Ordinal):
                 raise ValueError(f"exponent {e!r} is not an Ordinal")
-            if not isinstance(c, int) or c < 1:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ValueError(f"coefficient {c!r} must be a positive integer")
             ek = e.key
             if prev is not None and prev <= ek:
@@ -98,10 +100,8 @@ class _Tower(Ordinal):
 
     __slots__ = ()
 
-    def __post_init__(self):
-        ((_, c),) = self.terms
-        if not isinstance(c, int) or c < 1:
-            raise ValueError(f"coefficient {c!r} must be a positive integer")
+    def __post_init__(self):  # omega_pow, its one builder, checked the term
+        pass
 
     def __getattr__(self, name):  # reached only while the key slot is empty
         if name != "key":
@@ -128,17 +128,30 @@ ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
+def _ordinal(terms: tuple, key: tuple) -> Ordinal:
+    # an Ordinal without the constructor's checks, for the builders that have
+    # made sure that terms are in normal form and that key is theirs
+    a = object.__new__(Ordinal)
+    object.__setattr__(a, "terms", terms)
+    object.__setattr__(a, "key", key)
+    return a
+
+
 def from_int(n: int) -> Ordinal:
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"expected a non-negative integer, got {n!r}")
-    return Ordinal(((ZERO, n),)) if n else ZERO
+    return _ordinal(((ZERO, n),), (OPEN, OPEN, CLOSE, n, CLOSE)) if n else ZERO
 
 
 def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     """w^e * coeff as a single-term ordinal."""
-    if type(e) is _Tower or isinstance(e, Ordinal) and len(e.key) > _EAGER_EXPONENT_KEY:
+    if not isinstance(e, Ordinal):
+        raise ValueError(f"exponent {e!r} is not an Ordinal")
+    if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
+        raise ValueError(f"coefficient {coeff!r} must be a positive integer")
+    if type(e) is _Tower or len(e.key) > _EAGER_EXPONENT_KEY:
         return _Tower(((e, coeff),))
-    return Ordinal(((e, coeff),))
+    return _ordinal(((e, coeff),), (OPEN, *e.key, coeff, CLOSE))
 
 
 # bound once, as in frep.compare: each read of a member off the Enum class
@@ -155,15 +168,17 @@ def compare(a: Ordinal, b: Ordinal) -> Ordering:
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal addition: terms of a below b's leading exponent are absorbed."""
-    if b.is_zero:
+    if not b.terms:
         return a
-    (lead, c), rest = b.terms[0], b.terms[1:]
+    lead = b.terms[0][0]
+    if a.terms and a.terms[-1][0].key > lead.key:  # nothing absorbed
+        return _ordinal(a.terms + b.terms, a.key[:-1] + b.key[1:])
     i = 0
     while i < len(a.terms) and a.terms[i][0] > lead:
         i += 1
     if i < len(a.terms) and a.terms[i][0] == lead:
-        c += a.terms[i][1]
-    return Ordinal(a.terms[:i] + ((lead, c),) + rest)
+        return Ordinal(a.terms[:i] + ((lead, a.terms[i][1] + b.terms[0][1]),) + b.terms[1:])
+    return Ordinal(a.terms[:i] + b.terms) if i else b  # i = 0: all of a absorbed
 
 
 def coeff_measure(a: Ordinal) -> int:
@@ -173,12 +188,19 @@ def coeff_measure(a: Ordinal) -> int:
 
 def mul_omega_omega(a: Ordinal) -> Ordinal:
     """w^w * a: every exponent gains a leading w (order-preserving)."""
-    return Ordinal(tuple((add(OMEGA, e), c) for e, c in a.terms))
+    # e -> w + e is strictly increasing, so the exponents still fall
+    terms = tuple((add(OMEGA, e), c) for e, c in a.terms)
+    key = [OPEN]
+    for e, c in terms:
+        key += e.key
+        key.append(c)
+    key.append(CLOSE)
+    return _ordinal(terms, tuple(key))
 
 
 def omega_tower(n: int) -> Ordinal:
     """w_0 = 1 and w_{n+1} = w^{w_n}."""
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"tower height must be a non-negative integer, got {n!r}")
     t = ONE
     for _ in range(n):
@@ -207,18 +229,20 @@ def left_subtract_omega(e: Ordinal) -> Ordinal:
 # The parser also accepts the sugar  w,  w*c,  w^w,  w^NAT,  and evaluates
 # the "+" chain with ordinal addition, so any sum is accepted and normalized.
 # Neither recurses, so text of any depth prints and parses.
+#
+# A chain file holds one ordinal per line; blank lines and '#' comments are
+# ignored.  Reading or writing one keeps a table for the call, so a sub-term
+# the lines share is built, or printed, once; one ordinal is the one-line case.
 
 
-def print_ordinal(a: Ordinal) -> str:
-    # one walk over the key inside its outer OPEN ... CLOSE: OPEN opens
+def _key_text(key: tuple) -> str:
+    # one walk over a nonzero key inside its outer OPEN ... CLOSE: OPEN opens
     # "w^(", CLOSE c closes ")*c", and "+" goes wherever an OPEN follows a
     # coefficient; OPEN CLOSE c, a finite term, comes out as "w^()*c" and
     # is cut to "c" at the end
-    if a.is_zero:
-        return "0"
     out = []
     prev = OPEN
-    for t in a.key[1:-1]:
+    for t in key[1:-1]:
         if t > 0:
             out.append(str(t))
         elif t == OPEN:
@@ -229,7 +253,36 @@ def print_ordinal(a: Ordinal) -> str:
     return "".join(out).replace("w^()*", "")
 
 
-def _normal(terms: list) -> Ordinal:
+def _print(a: Ordinal, texts: dict) -> str:
+    # the terms of a, each exponent's text made once per table; the table
+    # keeps the exponent beside its text, so no other object takes its id
+    if a.is_zero:
+        return "0"
+    out = []
+    for e, c in a.terms:
+        if e.is_zero:
+            out.append(str(c))
+            continue
+        if len(e.key) == 5:  # OPEN OPEN CLOSE n CLOSE: a finite exponent n
+            out.append(f"w^({e.key[3]})*{c}")
+            continue
+        seen = texts.get(id(e))
+        if seen is None:
+            seen = texts[id(e)] = (e, _key_text(e.key))
+        out.append(f"w^({seen[1]})*{c}")
+    return "+".join(out)
+
+
+def print_ordinal(a: Ordinal) -> str:
+    return _print(a, {})
+
+
+def chain_to_text(entries: Iterable[Ordinal]) -> str:
+    texts = {}
+    return "\n".join(_print(a, texts) for a in entries) + "\n"
+
+
+def _normal(terms: list, shared: dict) -> Ordinal:
     # the sum of (exponent, coefficient) terms read left to right, normalized
     # right to left: a term below the running lead is absorbed, an equal one
     # merges
@@ -246,13 +299,20 @@ def _normal(terms: list) -> Ordinal:
             out.append((e, c))
         out.reverse()
         terms = out
+    # one object per sum in the table, known by its exponents' ids and its
+    # coefficients: the exponents of equal text already are one object, and
+    # the object built keeps its exponents, so no id in the table is reused
     if len(terms) == 1:
-        return omega_pow(*terms[0])
-    return Ordinal(tuple(terms))
+        known = id(terms[0][0]), terms[0][1]
+    else:
+        known = tuple([(id(e), c) for e, c in terms])
+    a = shared.get(known)
+    if a is None:
+        a = shared[known] = omega_pow(*terms[0]) if len(terms) == 1 else Ordinal(tuple(terms))
+    return a
 
 
-def parse_ordinal(text: str) -> Ordinal:
-    """Parse the text form; malformed text raises ParseError."""
+def _parse(text: str, shared: dict) -> Ordinal:
     toks = tokens(text)
     groups = []  # the terms of each enclosing sum, one list per open "w^("
     terms = []  # (exponent, coefficient) of the sum being read
@@ -291,16 +351,37 @@ def parse_ordinal(text: str) -> Ordinal:
             if not groups:
                 if tok:
                     raise ParseError("trailing input", offset(text, i))
-                return _normal(terms)
+                return _normal(terms, shared)
             if tok != ")":
                 raise ParseError("expected ')'", offset(text, i))
-            exp = _normal(terms)
+            exp = _normal(terms, shared)
             terms = groups.pop()
             i += 1
 
 
+def parse_ordinal(text: str) -> Ordinal:
+    """Parse the text form; malformed text raises ParseError."""
+    return _parse(text, {})
+
+
+def parse_chain_text(text: str) -> list[Ordinal]:
+    """The ordinals of a chain file; a malformed line raises ValueError
+    naming the line, with the ParseError's offset inside that line."""
+    shared = {}
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        try:
+            out.append(_parse(stripped, shared))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from err
+    return out
+
+
 def ordinal_to_json(a: Ordinal) -> list:
-    # one walk over the key, as print_ordinal: OPEN opens a term list, CLOSE
+    # one walk over the key, as _key_text: OPEN opens a term list, CLOSE
     # hands it to the list below as the next exponent, and a coefficient
     # pairs that exponent with its decimal string
     lists = [[]]

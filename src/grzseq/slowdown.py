@@ -24,14 +24,15 @@ from typing import Iterable, Sequence
 
 from .correspond import g as rank_g
 from .grzeval import exceeds
-from .ordinals import (
+from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
     ONE,
     Ordinal,
+    add,
+    chain_to_text,
     coeff_measure,
     mul_omega_omega,
     omega_pow,
-    parse_ordinal,
-    print_ordinal,
+    parse_chain_text,
 )
 
 
@@ -53,9 +54,10 @@ def slow_g(n: int, k: int, x: int) -> Ordinal:
     """The single-function slowdown rank: the windowed assignment at base
     max(2, k), for a caller-chosen hierarchy index n >= 1 bounding the
     function being slowed."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"hierarchy index must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 0 or not isinstance(x, int) or x < 0:
+    if (not isinstance(k, int) or isinstance(k, bool) or k < 0
+            or not isinstance(x, int) or isinstance(x, bool) or x < 0):
         raise ValueError("arguments must be non-negative integers")
     return rank_g(n, max(2, k), x)
 
@@ -77,9 +79,9 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
     measures C(a_{k+1}) <= F_n(max(2,k)).
     """
     _validate_chain(alphas)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"hierarchy index must be a positive integer, got {n!r}")
-    if not isinstance(c, int) or c < 0:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 0:
         raise ValueError(f"constant must be a non-negative integer, got {c!r}")
     measures = [coeff_measure(a) for a in alphas]
     for k in range(len(alphas) - 1):
@@ -113,9 +115,9 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
     for k in range(len(alphas) - 1):  # block k: i = start + x with x < C(a_{k+1})
         start += measures[k]  # C(a_0) + ... + C(a_k)
         # w^w * a_k + rank: every exponent of w^w * a_k is at least w and
-        # every exponent of the rank is finite, so the terms just concatenate
-        lifted = mul_omega_omega(alphas[k]).terms
-        entries.extend(Ordinal(lifted + slow_g(n, k, x).terms) for x in range(max(0, ell - start), measures[k + 1]))
+        # every exponent of the rank is finite, so add joins the two keys
+        lifted = mul_omega_omega(alphas[k])
+        entries.extend(add(lifted, slow_g(n, k, x)) for x in range(max(0, ell - start), measures[k + 1]))
     return SlowChain(tuple(entries), ell, height, note)
 
 
@@ -131,24 +133,3 @@ def verify_slow(s: SlowChain | Iterable[Ordinal]) -> SlowReport:
         if m > i + 1:
             violations.append(f"entry {i} has coefficient measure {m} > {i + 1}")
     return SlowReport(not violations, tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# Chain files: one ordinal per line, blank lines and '#' comments ignored.
-
-
-def parse_chain_text(text: str) -> list[Ordinal]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            out.append(parse_ordinal(stripped))
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from err
-    return out
-
-
-def chain_to_text(entries: Iterable[Ordinal]) -> str:
-    return "\n".join(print_ordinal(a) for a in entries) + "\n"

@@ -265,6 +265,12 @@ def test_g_examples():
     assert g(1, 2, 0) == omega_pow(ONE, 2)
 
 
+@pytest.mark.parametrize("args", [(True, 2, 0), (2, True, 0), (2, 2, True), (False, 3, 1)])
+def test_g_rejects_bools(args):
+    with pytest.raises(ValueError):
+        g(*args)
+
+
 def test_g_strictly_descends():
     for n in (1, 2, 3):
         for k in (2, 3):

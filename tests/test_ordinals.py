@@ -196,6 +196,21 @@ def test_cnf_invariants_enforced():
         Ordinal(((ONE, 1), (ONE, 1)))  # duplicated exponents
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Ordinal(((ZERO, True),)),
+    lambda: Ordinal(((ONE, 2), (ZERO, True))),
+    lambda: from_int(True),
+    lambda: from_int(False),
+    lambda: omega_pow(ONE, True),
+    lambda: omega_pow(omega_tower(30), True),  # the deferred-key level too
+    lambda: omega_tower(True),
+])
+def test_bools_are_not_ordinal_integers(build):
+    # True would print as "True", which no parser reads back
+    with pytest.raises(ValueError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Text and JSON forms
 

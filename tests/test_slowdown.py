@@ -43,6 +43,13 @@ def test_slow_g_rejects_zero_index():
         slow_g(0, 2, 1)
 
 
+@pytest.mark.parametrize("args", [(True, 3, 1), (2, True, 1), (2, 3, True)])
+def test_slow_g_rejects_bools(args):
+    # slow_g(True, 3, 1) was w^(True)*2, text no parser reads back
+    with pytest.raises(ValueError):
+        slow_g(*args)
+
+
 # The corpus: strictly descending chains, coefficients <= 10, lengths 3..11.
 CORPUS = [
     ([O("w*2"), O("w"), O("1"), O("0")], 2, 2),
@@ -278,6 +285,12 @@ def test_compress_rejects_non_descending():
     # a zero anywhere but last breaks descent by itself
     with pytest.raises(ValueError, match="descending"):
         compress([O("w"), ZERO, ZERO], 2, 2)
+
+
+@pytest.mark.parametrize("n,c", [(True, 1), (2, True), (2, False)])
+def test_compress_rejects_bools(n, c):
+    with pytest.raises(ValueError):
+        compress([O("w"), ZERO], n, c)
 
 
 def test_compress_accepts_trailing_zero():
