@@ -25,16 +25,7 @@ from dataclasses import dataclass
 
 from .frep import encode
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, exceeds, fold
-from .ordinals import (
-    OMEGA,
-    ZERO,
-    Ordinal,
-    add,
-    coeff_measure,
-    from_int,
-    left_subtract_omega,
-    omega_pow,
-)
+from .ordinals import ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
 
 
 class NotInDError(ValueError):
@@ -80,14 +71,27 @@ def _check_map_args(x: int, k: int) -> None:
 def o_map(x: int, k: int) -> Ordinal:
     """The ordinal associated with x at base k; requires x >= k >= 2."""
     _check_map_args(x, k)
+    return _image(x, k, False)
+
+
+def _image(x: int, k: int, plus_omega: bool) -> Ordinal:
+    # o_k(x), or the exponent code w + o_k(x) when plus_omega, for x >= k.
     # encode's exponents strictly fall and code is strictly monotone, so the
-    # terms are already in normal form: one (still validating) constructor
-    # call.  The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
-    return Ordinal(tuple(
-        (from_int(e) if e < k else add(OMEGA, o_map(e, k)), c)
-        for e, c in encode(x, k).pairs
-        if c
-    ))
+    # terms are in normal form as they come: one constructor call per level.
+    # The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
+    pairs = encode(x, k).pairs
+    terms = []
+    for e, c in pairs:
+        if c:
+            terms.append((from_int(e) if e < k else _image(e, k, True), c))
+    if plus_omega:  # the leading exponent e_1 decides what w + ... does
+        e1 = pairs[0][0]
+        if e1 == 0:  # x = k included: w + 0 = w
+            terms.insert(0, (ONE, 1))
+        elif e1 == 1:  # w + w*c = w*(c+1)
+            terms[0] = (ONE, terms[0][1] + 1)
+        # e_1 >= 2: w^(e_1) absorbs the w
+    return Ordinal(tuple(terms))
 
 
 def o_map_literal(x: int, k: int) -> Ordinal:
@@ -108,36 +112,57 @@ def o_map_literal(x: int, k: int) -> Ordinal:
 # ---------------------------------------------------------------------------
 # Structural inversion.  A term list decodes to a representation skeleton
 # [(v_1,c_1),...]: finite exponents must sit below the base, infinite ones
-# split as w + b with b decoded recursively.  Count bounds c_p < k_p are then
-# probed against the intermediate-base chain under a bound derived from the
-# ordinal itself (the chain outgrows every coefficient as soon as any piece
-# leaves the bound, so membership never materializes the full preimage).
+# split as w + b with b decoded the same way.  Count bounds c_p < k_p are
+# then probed against the intermediate-base chain under a bound derived from
+# the ordinal itself (the chain outgrows every coefficient as soon as any
+# piece leaves the bound, so membership never materializes the full preimage).
 
 
 def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, int]], int | None]:
-    """Decode to [(value-or-None, count)] with None meaning "above bound",
-    together with a's own value (the final intermediate base, None above bound).
+    """Decode a to [(value-or-None, count)], None meaning "above bound",
+    together with a's own value (the last intermediate base, None above
+    bound).  Raises NotInDError when a has no preimage at base k.
 
-    Raises NotInDError when the ordinal has no preimage at base k.
+    One walk over the term tuples with a stack of the enclosing term lists,
+    so an ordinal of any depth decodes.  A finite exponent is read off its
+    one (0, v) term; an infinite exponent w + b is entered as b's terms: one
+    w less on a leading w^1 term, or the exponent's own terms when its lead
+    absorbs the w.  No ordinal is built.  An exponent is finished, its count
+    checks included, before the next term is read, so the reason reported is
+    that of the first violation in post-order.
     """
-    entries: list[tuple[int | None, int]] = []
-    for e, c in a.terms:
-        if e.is_finite:
-            v = e.as_int()
-            if v >= k:
-                raise NotInDError(k, f"finite exponent {v} not below base {k}")
-            entries.append((v, c))
-        else:
-            entries.append((_skeleton(left_subtract_omega(e), k, bound)[1], c))
-    # count bounds against the intermediate-base chain
-    chain: int | None = k
-    for p, (v, c) in enumerate(entries, start=1):
-        if chain is None:
-            continue  # chain already above bound >= every coefficient of a
-        if c >= chain:
-            raise NotInDError(k, f"count {c} at position {p} not below intermediate base {chain}")
-        chain = fold(((v, c),), chain, bound)
-    return entries, chain
+    stack = []  # enclosing levels: (terms, next index, entries, count of the open term)
+    terms, i, entries = a.terms, 0, []
+    while True:
+        if i < len(terms):
+            e, c = terms[i]
+            i += 1
+            et = e.terms
+            if not et or not et[0][0].terms:  # finite: 0, or the one term (0, v)
+                v = et[0][1] if et else 0
+                if v >= k:
+                    raise NotInDError(k, f"finite exponent {v} not below base {k}")
+                entries.append((v, c))
+                continue
+            lead, lc = et[0]
+            lt = lead.terms
+            if len(lt) == 1 and lt[0][1] == 1 and not lt[0][0].terms:  # lead is 1
+                et = ((lead, lc - 1),) + et[1:] if lc > 1 else et[1:]
+            stack.append((terms, i, entries, c))
+            terms, i, entries = et, 0, []
+            continue
+        # count bounds against the intermediate-base chain
+        chain = k
+        for p, (v, c) in enumerate(entries, start=1):
+            if c >= chain:
+                raise NotInDError(k, f"count {c} at position {p} not below intermediate base {chain}")
+            chain = fold(((v, c),), chain, bound)
+            if chain is None:
+                break  # above bound >= every coefficient of a
+        if not stack:
+            return entries, chain
+        terms, i, entries, c = stack.pop()
+        entries.append((chain, c))
 
 
 def _membership_bound(a: Ordinal, k: int) -> int:
@@ -165,22 +190,29 @@ def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     """The unique x >= k with o_map(x, k) = a, cutoff-aware.
 
     Raises NotInDError when no preimage exists; returns ExceedsCap when the
-    preimage exists structurally but its value is above the cap.
+    preimage exists structurally but its value is above the cap.  A cap that
+    is not a non-negative integer raises ValueError.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
     _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
     return Exact(v) if v is not None and v <= cap else ExceedsCap(cap)
 
 
 def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:
-    """The largest member of D_k strictly below a; requires a in D_k, a > 0."""
+    """The largest member of D_k strictly below a; requires a in D_k, a > 0.
+
+    Raises CapExceededError when a's preimage is above the cap, and checks
+    k and the cap as ``L_inverse`` does.
+    """
     if a.is_zero:
         raise ValueError("the zero ordinal has no predecessor inside D_k")
     x = L_inverse(a, k, cap)
     if isinstance(x, ExceedsCap):
         raise CapExceededError(cap)
-    return o_map(x.value - 1, k)
+    return _image(x.value - 1, k, False)  # x > k, as a > 0 = o_k(k)
 
 
 # ---------------------------------------------------------------------------

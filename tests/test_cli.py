@@ -200,6 +200,15 @@ def test_ord_Q_rejections(capsys):
     assert code == 1  # preimage above the cap
 
 
+def test_ord_inD_and_Q_take_any_depth(capsys):
+    tower = "w^(" * 1500 + "1" + ")" * 1500
+    code, out, err = invoke(capsys, "ord", "inD", tower, "--base", "2")
+    assert code == 0 and out.strip() == "member" and err == ""
+    code, out, err = invoke(capsys, "ord", "Q", tower, "--base", "2")
+    assert code == 1 and out == "" and "exceeds cap" in err
+    assert "nesting too deep" not in err and "Traceback" not in err
+
+
 def test_ord_json_roundtrip(capsys):
     code, out, _ = invoke(capsys, "ord", "encode", "9", "--base", "2", "--json")
     assert code == 0
