@@ -90,7 +90,7 @@ def _image(x: int, k: int, plus_omega: bool) -> Ordinal:
             terms.insert(0, (ONE, 1))
         elif e1 == 1:  # w + w*c = w*(c+1)
             terms[0] = (ONE, terms[0][1] + 1)
-        # e_1 >= 2: w^(e_1) absorbs the w
+        # e_1 >= 2: the leading term w^(code(e_1)) absorbs the w
     return Ordinal(tuple(terms))
 
 
