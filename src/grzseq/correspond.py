@@ -165,12 +165,21 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
         entries.append((chain, c))
 
 
+def _check_ordinal(a: Ordinal) -> None:
+    if not isinstance(a, Ordinal):
+        raise ValueError(f"argument a must be an Ordinal, got {a!r}")
+
+
 def _membership_bound(a: Ordinal, k: int) -> int:
     return max(4, k, coeff_measure(a)) + 1
 
 
 def in_D(a: Ordinal, k: int) -> MembershipReport:
-    """Decide whether a is the image of some number at base k, structurally."""
+    """Decide whether a is the image of some number at base k, structurally.
+
+    An a that is not an Ordinal raises ValueError.
+    """
+    _check_ordinal(a)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
     if a.is_zero:
@@ -190,9 +199,11 @@ def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     """The unique x >= k with o_map(x, k) = a, cutoff-aware.
 
     Raises NotInDError when no preimage exists; returns ExceedsCap when the
-    preimage exists structurally but its value is above the cap.  A cap that
-    is not a non-negative integer raises ValueError.
+    preimage exists structurally but its value is above the cap.  An a that
+    is not an Ordinal, or a cap that is not a non-negative integer, raises
+    ValueError.
     """
+    _check_ordinal(a)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
@@ -205,8 +216,9 @@ def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:
     """The largest member of D_k strictly below a; requires a in D_k, a > 0.
 
     Raises CapExceededError when a's preimage is above the cap, and checks
-    k and the cap as ``L_inverse`` does.
+    a, k and the cap as ``L_inverse`` does.
     """
+    _check_ordinal(a)
     if a.is_zero:
         raise ValueError("the zero ordinal has no predecessor inside D_k")
     x = L_inverse(a, k, cap)
@@ -233,6 +245,11 @@ def profile(x: int, n: int, k: int) -> PaddedProfile:
         raise ValueError(f"need x >= base, got x={x!r}, base={k}")
     if not exceeds(n, 1, k, x):
         raise ValueError(f"x={x} is not below F_{n}({k})")
+    return _profile(x, n, k)
+
+
+def _profile(x: int, n: int, k: int) -> PaddedProfile:
+    # profile's body, for arguments already checked
     j = [0] * n
     for e, c in encode(x, k).pairs:
         assert e < n  # guaranteed by x < F_n(k)
@@ -259,17 +276,32 @@ def flip(p: PaddedProfile) -> tuple[int, ...]:
 
 def g(n: int, k: int, x: int) -> Ordinal:
     """Ordinal rank of x in the window [0, F_n(k)): strictly decreasing in x,
-    zero from F_n(k) on, with all coefficients below max(n, k+1, x)+1."""
+    zero from F_n(k) on, with all coefficients below max(n, k+1, x)+1.
+    The one-element case of ``g_window``."""
+    return g_window(n, k, x, 1)[0]
+
+
+def g_window(n: int, k: int, x: int, count: int) -> list[Ordinal]:
+    """[g(n, k, y) for y in range(x, x + count)], the arguments checked once.
+
+    The ranks of y < k share one exponent object (n itself), those of the
+    profile part share theirs (n-1, ..., 0), and the ranks from F_n(k) on are
+    ZERO; count 0 gives the empty window.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if (not isinstance(n, int) or isinstance(n, bool) or n < 0
-            or not isinstance(x, int) or isinstance(x, bool) or x < 0):
-        raise ValueError("slot count and value must be non-negative integers")
+    for v in (n, x, count):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ValueError("slot count and value must be non-negative integers")
+    stop = x + count
     if n == 0:
-        return from_int(max(0, (k + 1) - x))
-    if x < k:
-        return omega_pow(from_int(n), k - x)
-    if not exceeds(n, 1, k, x):
-        return ZERO  # x >= F_n(k)
-    fl = flip(profile(x, n, k))
-    return Ordinal(tuple((from_int(n - q), fl[q - 1]) for q in range(1, n + 1)))
+        return [from_int(max(0, (k + 1) - y)) for y in range(x, stop)]
+    e = from_int(n)
+    out = [omega_pow(e, k - y) for y in range(x, min(k, stop))]
+    exps = [from_int(n - q) for q in range(1, n + 1)]
+    for y in range(max(k, x), stop):
+        if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y
+            out += [ZERO] * (stop - y)
+            break
+        out.append(Ordinal(tuple(zip(exps, flip(_profile(y, n, k))))))
+    return out

@@ -404,6 +404,8 @@ def _parse_raw(text: str):
                 break  # read the count
             top[0].append((top[1], item))
             top[1] = None
+            if toks[i][:1] == ")" and toks[i] != ")":  # the ordinal lexer's ")*NAT"
+                raise ParseError("expected ']_'", offset(text, i) + toks[i].index("*"))
             i = _expect(text, toks, i, ")")
             if toks[i] == ",":
                 i = _expect(text, toks, i + 1, "(")

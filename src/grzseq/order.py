@@ -28,8 +28,10 @@ class ParseError(ValueError):
 
 
 # a run of ASCII digits (int() alone would also read other scripts' digits),
-# the rep grammar's "]_", or any other single non-space character
-_TOKEN = re.compile(r"\s*(\]_|[0-9]+|\S)")
+# the rep grammar's "]_", the ordinal grammar's group opener "w^(" and group
+# closer ")*NAT" (each one token, whitespace inside allowed), or any other
+# single non-space character
+_TOKEN = re.compile(r"\s*(\]_|[0-9]+|w\s*\^\s*\(|\)\s*\*\s*[0-9]+|\S)")
 
 
 def tokens(text: str) -> list[str]:

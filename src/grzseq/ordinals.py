@@ -254,22 +254,27 @@ def _key_text(key: tuple) -> str:
 
 
 def _print(a: Ordinal, texts: dict) -> str:
-    # the terms of a, each exponent's text made once per table; the table
-    # keeps the exponent beside its text, so no other object takes its id
-    if a.is_zero:
+    # the text of each distinct term, and of each distinct infinite exponent,
+    # made once per table; the table keeps each object beside its text, so
+    # no other object takes its id
+    if not a.terms:
         return "0"
     out = []
-    for e, c in a.terms:
-        if e.is_zero:
-            out.append(str(c))
-            continue
-        if len(e.key) == 5:  # OPEN OPEN CLOSE n CLOSE: a finite exponent n
-            out.append(f"w^({e.key[3]})*{c}")
-            continue
-        seen = texts.get(id(e))
+    for t in a.terms:
+        seen = texts.get(id(t))
         if seen is None:
-            seen = texts[id(e)] = (e, _key_text(e.key))
-        out.append(f"w^({seen[1]})*{c}")
+            e, c = t
+            if not e.terms:
+                text = str(c)
+            elif len(e.key) == 5:  # OPEN OPEN CLOSE n CLOSE: a finite exponent n
+                text = f"w^({e.key[3]})*{c}"
+            else:
+                es = texts.get(id(e))
+                if es is None:
+                    es = texts[id(e)] = (e, _key_text(e.key))
+                text = f"w^({es[1]})*{c}"
+            seen = texts[id(t)] = (t, text)
+        out.append(seen[1])
     return "+".join(out)
 
 
@@ -313,27 +318,34 @@ def _normal(terms: list, shared: dict) -> Ordinal:
 
 
 def _parse(text: str, shared: dict) -> Ordinal:
+    # "w^(" and ")*NAT" come from the lexer as one token each, whitespace
+    # inside included, so a group costs two tokens
     toks = tokens(text)
     groups = []  # the terms of each enclosing sum, one list per open "w^("
     terms = []  # (exponent, coefficient) of the sum being read
     i = 0
     while True:
         exp = None  # a w-term's exponent, its coefficient still to read
-        if toks[i] != "w":
+        tok = toks[i]
+        if tok[:1] != "w":
             n = number(text, toks, i)
             if n:
                 terms.append((ZERO, n))
             i += 1
+        elif tok != "w":  # "w^("
+            groups.append(terms)
+            terms = []
+            i += 1
+            continue
         elif toks[i + 1] != "^":
             exp = ONE
             i += 1
-        elif toks[i + 2] == "(":
-            groups.append(terms)
-            terms = []
-            i += 3
-            continue
         else:
-            exp = OMEGA if toks[i + 2] == "w" else from_int(number(text, toks, i + 2))
+            tok = toks[i + 2]
+            if tok[:1] == "w" and tok != "w":  # "w^w^(": the w is the exponent
+                raise ParseError("expected ')'" if groups else "trailing input",
+                                 offset(text, i + 2) + tok.index("^"))
+            exp = OMEGA if tok == "w" else from_int(number(text, toks, i + 2))
             i += 3
         while True:
             if exp is not None:  # an optional "*NAT"; a zero drops the term
@@ -352,11 +364,16 @@ def _parse(text: str, shared: dict) -> Ordinal:
                 if tok:
                     raise ParseError("trailing input", offset(text, i))
                 return _normal(terms, shared)
-            if tok != ")":
+            if tok[:1] != ")":
                 raise ParseError("expected ')'", offset(text, i))
             exp = _normal(terms, shared)
             terms = groups.pop()
             i += 1
+            if tok != ")":  # ")*NAT": the group's coefficient comes with it
+                c = int(tok[tok.index("*") + 1:].lstrip())
+                if c:
+                    terms.append((exp, c))
+                exp = None
 
 
 def parse_ordinal(text: str) -> Ordinal:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .correspond import g as rank_g
+from .correspond import g as rank_g, g_window
 from .grzeval import exceeds
 from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
     ONE,
@@ -117,7 +117,8 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
         # w^w * a_k + rank: every exponent of w^w * a_k is at least w and
         # every exponent of the rank is finite, so add joins the two keys
         lifted = mul_omega_omega(alphas[k])
-        entries.extend(add(lifted, slow_g(n, k, x)) for x in range(max(0, ell - start), measures[k + 1]))
+        lo = max(0, ell - start)
+        entries.extend(add(lifted, r) for r in g_window(n, max(2, k), lo, max(0, measures[k + 1] - lo)))
     return SlowChain(tuple(entries), ell, height, note)
 
 

@@ -258,3 +258,59 @@ def test_sharing_keeps_every_check(text, message):
         with pytest.raises(ValueError) as err:
             parse(text)
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The printer before it kept the text of each term: one table of exponent
+# texts per call, every term formatted where it occurs
+
+
+def old_print(a, texts):
+    if a.is_zero:
+        return "0"
+    out = []
+    for e, c in a.terms:
+        if e.is_zero:
+            out.append(str(c))
+            continue
+        if len(e.key) == 5:
+            out.append(f"w^({e.key[3]})*{c}")
+            continue
+        seen = texts.get(id(e))
+        if seen is None:
+            seen = texts[id(e)] = (e, ref_print_ordinal(e))
+        out.append(f"w^({seen[1]})*{c}")
+    return "+".join(out)
+
+
+def old_chain_to_text(entries):
+    texts = {}
+    return "\n".join(old_print(a, texts) for a in entries) + "\n"
+
+
+def test_chain_to_text_matches_the_old_printer_on_compress_outputs():
+    for seed in range(6, 30):
+        alphas = random_chain(seed)
+        for n, c in ((2, 0), (2, 7), (3, 2)):
+            entries = compress(alphas, n, c).entries
+            assert first_difference(chain_to_text(entries), old_chain_to_text(entries)) is None, (seed, n, c)
+            assert [print_ordinal(a) for a in entries[:20]] == [old_print(a, {}) for a in entries[:20]]
+
+
+def test_chain_to_text_matches_the_old_printer_on_a_tower():
+    tower = omega_tower(1500)
+    assert first_difference(chain_to_text([tower]), old_chain_to_text([tower])) is None
+    levels = [tower]
+    while levels[-1].terms[0][0].terms:
+        levels.append(levels[-1].terms[0][0])
+    levels = levels[::50]  # every 50th level, each the tower below the one before
+    assert first_difference(chain_to_text(levels), old_chain_to_text(levels)) is None
+
+
+def test_block_entries_share_their_lifted_terms():
+    # the w^w * a_k terms of a block are the same objects on every entry of it
+    entries = compress(CHAINS[0], 2, 0).entries
+    tail = entries[compress(CHAINS[0], 2, 0).tower_prefix_len:]
+    firsts = [a.terms[0] for a in tail]
+    assert len({id(t) for t in firsts}) < len(firsts)
+    assert chain_to_text(entries) == old_chain_to_text(entries)

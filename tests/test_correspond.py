@@ -312,3 +312,11 @@ def test_shift_invariance(k):
         if not isinstance(shifted, Exact):
             continue
         assert o_map(shifted.value, k + 1) == o_map(x, k), f"x={x}"
+
+
+@pytest.mark.parametrize("fn", [in_D, L_inverse, Q_pred])
+@pytest.mark.parametrize("a", ["w^w", 5, None, encode(9, 2)], ids=["str", "int", "None", "FRep"])
+def test_non_ordinal_argument_is_a_value_error(fn, a):
+    with pytest.raises(ValueError, match=r"^argument a must be an Ordinal, got ") as err:
+        fn(a, 2)
+    assert repr(a) in str(err.value)
