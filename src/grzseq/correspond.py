@@ -284,9 +284,8 @@ def g(n: int, k: int, x: int) -> Ordinal:
 def g_window(n: int, k: int, x: int, count: int) -> list[Ordinal]:
     """[g(n, k, y) for y in range(x, x + count)], the arguments checked once.
 
-    The ranks of y < k share one exponent object (n itself), those of the
-    profile part share theirs (n-1, ..., 0), and the ranks from F_n(k) on are
-    ZERO; count 0 gives the empty window.
+    The ranks of y < k share one exponent object (n itself), and the ranks
+    from F_n(k) on are ZERO; count 0 gives the empty window.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
@@ -298,10 +297,10 @@ def g_window(n: int, k: int, x: int, count: int) -> list[Ordinal]:
         return [from_int(max(0, (k + 1) - y)) for y in range(x, stop)]
     e = from_int(n)
     out = [omega_pow(e, k - y) for y in range(x, min(k, stop))]
-    exps = [from_int(n - q) for q in range(1, n + 1)]
     for y in range(max(k, x), stop):
         if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y
             out += [ZERO] * (stop - y)
             break
-        out.append(Ordinal(tuple(zip(exps, flip(_profile(y, n, k))))))
+        fl = flip(_profile(y, n, k))
+        out.append(Ordinal(tuple((from_int(n - q), fl[q - 1]) for q in range(1, n + 1))))
     return out
