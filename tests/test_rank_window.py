@@ -84,9 +84,3 @@ def test_window_rejects_what_g_rejects(bad):
             assert str(err.value) == str(want.value), (fn.__name__, args)
     with pytest.raises(ValueError, match="slot count and value must be non-negative integers"):
         g_window(2, 3, 1, bad)
-
-
-def test_window_checks_the_base_as_g_does():
-    for k in (0, 1, True):
-        with pytest.raises(ValueError, match="base must be an integer >= 2"):
-            g_window(2, k, 0, 3)
