@@ -306,9 +306,13 @@ def _normal(terms: list, shared: dict) -> Ordinal:
         terms = out
     # one object per sum in the table, known by its exponents' ids and its
     # coefficients: the exponents of equal text already are one object, and
-    # the object built keeps its exponents, so no id in the table is reused
+    # the object built keeps its exponents, so no id in the table is reused.
+    # A lone term with coefficient 1, each level of a tower, is known by its
+    # exponent's id alone (an int never equals a tuple), which spares the
+    # table a tuple per level.
     if len(terms) == 1:
-        known = id(terms[0][0]), terms[0][1]
+        e, c = terms[0]
+        known = id(e) if c == 1 else (id(e), c)
     else:
         known = tuple([(id(e), c) for e, c in terms])
     a = shared.get(known)
