@@ -342,16 +342,9 @@ def old_parse_chain_text(text):
     return out
 
 
-def chain_outcome(text):
+def chain_outcome(parse, text):
     try:
-        return [a.key for a in parse_chain_text(text)]
-    except ValueError as err:
-        return "ValueError", str(err)
-
-
-def old_chain_outcome(text):
-    try:
-        return [a.key for a in old_parse_chain_text(text)]
+        return [a.key for a in parse(text)]
     except ValueError as err:
         return "ValueError", str(err)
 
@@ -403,7 +396,7 @@ WHITESPACE_VARIANTS = [
 @pytest.mark.parametrize("text", WHITESPACE_VARIANTS)
 def test_whitespace_variants_parse_as_before(text):
     assert parse_ordinal(text).key == old_parse(text, {}).key == ref_parse_ordinal(text).key
-    assert chain_outcome(text + "\n") == old_chain_outcome(text + "\n")
+    assert chain_outcome(parse_chain_text, text + "\n") == chain_outcome(old_parse_chain_text, text + "\n")
 
 
 COMPOUND_MALFORMED = [
@@ -419,7 +412,7 @@ def test_malformed_lines_fail_as_before(text):
     assert isinstance(got, tuple) and got == outcome(lambda t: old_parse(t, {}), text)
     assert got == outcome(ref_parse_ordinal, text)
     chain = "w^(9)\n" + text + "\n"
-    assert chain_outcome(chain) == old_chain_outcome(chain)
+    assert chain_outcome(parse_chain_text, chain) == chain_outcome(old_parse_chain_text, chain)
 
 
 def test_rep_text_tokens_are_unchanged():
