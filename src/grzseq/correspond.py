@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frep import encode
+from .frep import encode_pairs
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, exceeds, fold
 from .ordinals import ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
 
@@ -79,7 +79,7 @@ def _image(x: int, k: int, plus_omega: bool) -> Ordinal:
     # encode's exponents strictly fall and code is strictly monotone, so the
     # terms are in normal form as they come: one constructor call per level.
     # The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
-    pairs = encode(x, k).pairs
+    pairs = encode_pairs(x, k)
     terms = []
     for e, c in pairs:
         if c:
@@ -103,7 +103,7 @@ def o_map_literal(x: int, k: int) -> Ordinal:
     _check_map_args(x, k)
     # the coding is not monotone, so the terms need add's absorb/merge step
     total = ZERO
-    for e, c in encode(x, k).pairs:
+    for e, c in encode_pairs(x, k):
         if c:
             total = add(total, omega_pow(from_int(e) if e < k else o_map_literal(e, k), c))
     return total
@@ -251,7 +251,7 @@ def profile(x: int, n: int, k: int) -> PaddedProfile:
 def _profile(x: int, n: int, k: int) -> PaddedProfile:
     # profile's body, for arguments already checked
     j = [0] * n
-    for e, c in encode(x, k).pairs:
+    for e, c in encode_pairs(x, k):
         assert e < n  # guaranteed by x < F_n(k)
         j[n - e - 1] = c
     m = [k]

@@ -109,7 +109,7 @@ def _pairs(x: int, k: int) -> Pairs:
 def _check_encode(x: int, k: int) -> None:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(x, int) or x < 0:
+    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
         raise ValueError(f"value must be a non-negative integer, got {x!r}")
 
 
@@ -117,6 +117,15 @@ def encode(x: int, k: int) -> FRep:
     """The unique representation of x with base k (greedy tower search)."""
     _check_encode(x, k)
     return FRep(k, x if x < k else _pairs(x, k))
+
+
+def encode_pairs(x: int, k: int) -> Pairs:
+    """``encode(x, k).pairs`` without building the FRep; an atom (x < k)
+    raises RepError as its ``pairs`` does."""
+    _check_encode(x, k)
+    if x < k:
+        raise RepError("atom has no pairs")
+    return _pairs(x, k)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +224,7 @@ def _shifted_pairs(v: int, k: int, m: int, cap: int, hereditary: bool, shifted: 
 def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
     if not (isinstance(k, int) and isinstance(m, int) and 2 <= k <= m):
         raise ValueError(f"need 2 <= from-base <= to-base, got {k!r}, {m!r}")
-    if not isinstance(x, int) or x < 0:
+    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
         raise ValueError(f"value must be a non-negative integer, got {x!r}")
     _check_cap(cap)
     v = _shift_component(x, k, m, cap, hereditary, {})

@@ -56,7 +56,10 @@ def number(text: str, toks: list[str], i: int) -> int:
     """The value of token i if it is a number, else a ParseError at its offset."""
     tok = toks[i]
     if "0" <= tok[:1] <= "9":
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise ParseError("number too long", offset(text, i)) from None
     raise ParseError("expected a number", offset(text, i))
 
 

@@ -137,10 +137,19 @@ def _ordinal(terms: tuple, key: tuple) -> Ordinal:
     return a
 
 
+def _finite(n: int) -> Ordinal:
+    return _ordinal(((ZERO, n),), (OPEN, OPEN, CLOSE, n, CLOSE))
+
+
+# the finite ordinals 0..15, built once, so that from_int allocates nothing
+# for them (o_map's exponents below the base, for one)
+_SMALL = (ZERO, ONE, *map(_finite, range(2, 16)))
+
+
 def from_int(n: int) -> Ordinal:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"expected a non-negative integer, got {n!r}")
-    return _ordinal(((ZERO, n),), (OPEN, OPEN, CLOSE, n, CLOSE)) if n else ZERO
+    return _SMALL[n] if n < 16 else _finite(n)
 
 
 def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
@@ -374,7 +383,12 @@ def _parse(text: str, shared: dict) -> Ordinal:
             terms = groups.pop()
             i += 1
             if tok != ")":  # ")*NAT": the group's coefficient comes with it
-                c = int(tok[tok.index("*") + 1:].lstrip())
+                digits = tok[tok.index("*") + 1:].lstrip()
+                try:
+                    c = int(digits)
+                except ValueError:  # past the interpreter's int/str digit limit
+                    raise ParseError("number too long",
+                                     offset(text, i - 1) + len(tok) - len(digits)) from None
                 if c:
                     terms.append((exp, c))
                 exp = None

@@ -234,6 +234,24 @@ def test_codec_rejects_a_cap_that_is_not_a_natural(call, cap):
         eval_F(1, 2, cap)
 
 
+@pytest.mark.parametrize("x", [True, False])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: encode(x, 2),
+        lambda x: to_total(x, 2),
+        lambda x: shift_value(x, 2, 3, CAP),
+        lambda x: shift_total_value(x, 2, 3, CAP),
+    ],
+    ids=["encode", "to_total", "shift_value", "shift_total_value"],
+)
+def test_codec_rejects_a_bool_value(call, x):
+    # True would print as "True", which no reader reads back
+    with pytest.raises(ValueError) as err:
+        call(x)
+    assert str(err.value) == f"value must be a non-negative integer, got {x}"
+
+
 def test_shift_same_base_is_identity():
     for x in range(0, 200):
         assert shift_value(x, 3, 3, CAP) == Exact(x)
