@@ -76,7 +76,7 @@ def o_map(x: int, k: int) -> Ordinal:
 
 def _image(x: int, k: int, plus_omega: bool) -> Ordinal:
     # o_k(x), or the exponent code w + o_k(x) when plus_omega, for x >= k.
-    # encode's exponents strictly fall and code is strictly monotone, so the
+    # The pairs' exponents strictly fall and code is strictly monotone, so the
     # terms are in normal form as they come: one constructor call per level.
     # The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
     pairs = encode_pairs(x, k)

@@ -6,7 +6,7 @@ import pytest
 
 from grzseq.frep import parse_rep, rep_from_json
 from grzseq.order import ParseError, nat
-from grzseq.ordinals import parse_ordinal
+from grzseq.ordinals import ordinal_from_json, parse_ordinal
 
 NINES = "9" * 5000
 
@@ -55,6 +55,12 @@ def test_rep_from_json(obj):
     # JSON carries no text offsets: every position is 0
     with pytest.raises(ParseError) as err:
         rep_from_json(obj)
+    assert str(err.value) == "parse error at offset 0: number too long"
+
+
+def test_ordinal_from_json():
+    with pytest.raises(ParseError) as err:
+        ordinal_from_json([[[], NINES]])
     assert str(err.value) == "parse error at offset 0: number too long"
 
 
