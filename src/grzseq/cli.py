@@ -28,7 +28,7 @@ from .frep import (
     to_total,
 )
 from .grzeval import CapExceededError, Exact
-from .order import ParseError
+from .order import ParseError, nat
 
 DEFAULT_CAP = 10**7
 DEFAULT_MAX_STEPS = 10**4
@@ -61,9 +61,9 @@ def _default_cap() -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"grzseq: GRZ_CAP must be an integer, got {raw!r}")
+        cap = _nat(raw)
+    except argparse.ArgumentTypeError as err:
+        raise SystemExit(f"grzseq: GRZ_CAP: {err}") from None
     if cap < 2:
         raise SystemExit("grzseq: GRZ_CAP must be at least 2")
     return cap
@@ -243,13 +243,13 @@ def _cmd_chain_verify(args) -> int:
 
 
 def _nat(text: str) -> int:
+    # ASCII digits only, as the library's text readers take them
     try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
-    return v
+        return nat(text)
+    except ParseError as err:
+        too_long = str(err).endswith("number too long")
+        msg = "number too long" if too_long else f"expected a natural number, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _base(text: str) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grzeval import BoundedNat, Exact, ExceedsCap, fold
+from .grzeval import BoundedNat, Exact, ExceedsCap, climb, fold
 from .order import Ordering, ParseError, nat, number, offset, tokens
 
 Pairs = tuple[tuple[int, int], ...]
@@ -84,14 +84,15 @@ def _step(x: int, base: int) -> tuple[int, int, int]:
     if base >= x.bit_length() or x < base << base:
         i = (x // base).bit_length() - 1
         return 1, i, base << i
-    e = 2
-    while fold(((e + 1, 1),), base, x) is not None:
-        e += 1
+    # one climb per level: base iterates of F_e make F_{e+1}(base), so a
+    # climb that reaches them goes on at F_{e+1} from the value it holds.
     # F_e(y) >= 2^y for e >= 2, so there are at most about log* x steps
-    i, y = 0, base
-    while (nxt := fold(((e, 1),), y, x)) is not None:
-        i, y = i + 1, nxt
-    return e, i, y
+    e, i, y = 2, 0, base
+    while True:
+        j, y = climb(e, y, x, base - i)
+        if i + j < base:
+            return e, i + j, y
+        e, i = e + 1, 1
 
 
 def _pairs(x: int, k: int) -> Pairs:
@@ -135,7 +136,7 @@ def encode_pairs(x: int, k: int) -> Pairs:
 def _check_shape(r: FRep) -> None:
     if r.is_atom:
         v = r.body
-        if not isinstance(v, int) or not 0 <= v < r.base:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < r.base:
             raise RepError(f"atom value {v!r} not in [0, base {r.base})")
         return
     pairs = r.body
@@ -143,7 +144,7 @@ def _check_shape(r: FRep) -> None:
         raise RepError("pair list must be non-empty")
     prev = None
     for e, c in pairs:
-        if not isinstance(e, int) or not isinstance(c, int) or e < 0 or c < 0:
+        if type(e) is not int or type(c) is not int or e < 0 or c < 0:  # exactly int: no bool
             raise RepError(f"pair ({e!r},{c!r}) must hold non-negative integers")
         if prev is not None and e >= prev:
             raise RepError(f"exponents not strictly decreasing at {e}")

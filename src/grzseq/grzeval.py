@@ -72,49 +72,46 @@ def _eval(n: int, x: int, cap: int) -> int | None:
         return v if v <= cap else None
     if n == 2:
         return _f2(x, cap)
-    # F_n(x) >= F_2(x) for n >= 2, x >= 2 (strictly increasing in n).
-    if _f2(x, cap) is None:
-        return None
     if n >= 4:
         # F_n(x) >= F_4(2) = F_3(2048) >= F_2(F_2(2048)), which has more than
         # 2^2059 bits, so it exceeds every cap that fits in memory.
         return None
-    return _iter(n - 1, x, x, cap)
+    # F_3(x) = F_2^(x)(x); an x past cap is past bitlen(cap) too, so the
+    # climb stops at once
+    i, v = climb(2, x, cap, x)
+    return v if i == x else None
 
 
-def _iter(n: int, i: int, x: int, cap: int) -> int | None:
-    """F_n^(i)(x), or None when the value exceeds cap."""
-    if x > cap:
-        return None
+def climb(n: int, x: int, cap: int, limit: int) -> tuple[int, int]:
+    """(i, F_n^(i)(x)) for the largest i <= limit with F_n^(i)(x) <= cap.
+
+    Requires 0 <= x <= cap and checks nothing, like ``fold``.  This is the
+    kernel's one iterate loop: ``fold``, ``eval_F_iter``, ``exceeds``, F_3
+    and the codec's greedy tower search all climb through it.
+    """
     if n == 0:
-        v = x + i
-        return v if v <= cap else None
-    if n == 1:
-        # F_1 doubles, so the i-th iterate is x * 2^i.
-        if x == 0:
-            return 0
-        if i >= cap.bit_length():
-            return None
-        v = x << i
-        return v if v <= cap else None
+        y = x + limit
+        return (limit, y) if y <= cap else (cap - x, cap)
     if x == 0:
-        return 0  # 0 is a fixed point of F_n for n >= 1
-    y = x
+        return limit, 0  # 0 is a fixed point of F_n for n >= 1
+    if n == 1:
+        # F_1 doubles, so the i-th iterate is x * 2^i: it fits for every i
+        # that leaves it shorter than cap, and may for one more
+        i = cap.bit_length() - x.bit_length()
+        if limit < i:
+            return limit, x << limit
+        y = x << i
+        return (i, y) if y <= cap else (i - 1, y >> 1)
+    i = 0
     if n == 2:
-        # F_2(y) = y * 2^y >= 2^y > cap once y >= bitlen(cap); a y past cap
-        # is >= bitlen(cap) too, so it stops at the next round or below
+        # F_2(x) = x * 2^x >= 2^x > cap once x >= bitlen(cap)
         bits = cap.bit_length()
-        for _ in range(i):
-            if y >= bits:
-                return None
-            y <<= y
-        return y if y <= cap else None
-    while i > 0:
-        y = _eval(n, y, cap)
-        if y is None:
-            return None
-        i -= 1
-    return y
+        while i < limit and x < bits and (y := x << x) <= cap:
+            i, x = i + 1, y
+        return i, x
+    while i < limit and (y := _eval(n, x, cap)) is not None:
+        i, x = i + 1, y
+    return i, x
 
 
 def fold(pairs: Iterable[tuple[int | None, int | None]], base: int, cap: int) -> int | None:
@@ -125,12 +122,12 @@ def fold(pairs: Iterable[tuple[int | None, int | None]], base: int, cap: int) ->
     makes the whole fold None.  Pairs are consumed lazily: nothing after the
     first over-cap component is read.
     """
-    y: int | None = base
+    y = base
     for e, c in pairs:
-        if e is None or c is None:
+        if e is None or c is None or y > cap:
             return None
-        y = _iter(e, c, y, cap)
-        if y is None:
+        i, y = climb(e, y, cap, c)
+        if i < c:
             return None
     return y
 
@@ -153,8 +150,11 @@ def eval_F_iter(n: int, i: int, x: int, cap: int) -> BoundedNat:
     _check_nat("i", i)
     _check_nat("x", x)
     _check_nat("cap", cap)
-    v = _iter(n, i, x, cap)
-    return Exact(v) if v is not None else ExceedsCap(cap)
+    if x <= cap:
+        j, v = climb(n, x, cap, i)
+        if j == i:
+            return Exact(v)
+    return ExceedsCap(cap)
 
 
 def exceeds(n: int, i: int, x: int, bound: int) -> bool:
@@ -163,7 +163,7 @@ def exceeds(n: int, i: int, x: int, bound: int) -> bool:
     _check_nat("i", i)
     _check_nat("x", x)
     _check_nat("bound", bound)
-    return _iter(n, i, x, bound) is None
+    return x > bound or climb(n, x, bound, i)[0] < i
 
 
 def in_relation_R(n: int, x: int, y: int) -> bool:

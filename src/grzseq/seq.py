@@ -82,7 +82,7 @@ class DominationReport:
 
 def next_step(v: int, k: int, hereditary: bool, cap: int) -> BoundedNat:
     """One step of the rule at index k (base 2+k), cutoff-aware."""
-    if not isinstance(v, int) or v < 0 or not isinstance(k, int) or k < 0:
+    if not (isinstance(v, int) and isinstance(k, int)) or bool in (type(v), type(k)) or v < 0 or k < 0:
         raise ValueError("value and step index must be non-negative integers")
     base = 2 + k
     if v < base:
@@ -102,7 +102,7 @@ def run(
     with_shadow: bool = False,
 ) -> Trace:
     """Iterate the rule from seed z until zero, cap overflow, or the step limit."""
-    if not isinstance(z, int) or z < 0:
+    if not isinstance(z, int) or isinstance(z, bool) or z < 0:
         raise ValueError(f"seed must be a non-negative integer, got {z!r}")
     steps: list[TraceStep] = []
     v, k = z, 0

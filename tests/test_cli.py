@@ -283,6 +283,43 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "shift", "4", "--from", "3", "--to", "2")[0] == 3
 
 
+@pytest.mark.parametrize("text", ["١٢", "1_000", "+12", "-3", "1e3", "twelve"])
+def test_number_arguments_take_ascii_digits_only(capsys, text):
+    # as the library's text readers do: int() alone would read the first three
+    code, _, err = invoke(capsys, "repr", text, "--base", "2")
+    assert code == 2 and f"argument x: expected a natural number, got {text!r}" in err
+
+
+def test_number_argument_past_the_digit_limit_is_too_long(capsys):
+    code, _, err = invoke(capsys, "repr", "9" * 5000, "--base", "2")
+    assert code == 2 and "argument x: number too long" in err
+    assert "9" * 100 not in err
+
+
+def test_base_argument_takes_ascii_digits_only(capsys):
+    code, _, err = invoke(capsys, "repr", "12", "--base", "٢")
+    assert code == 2 and "argument --base: expected a natural number, got '٢'" in err
+
+
+@pytest.mark.parametrize("text", ["1_0000", "١٠", "+50", "-5"])
+def test_grz_cap_takes_ascii_digits_only(capsys, monkeypatch, text):
+    monkeypatch.setenv("GRZ_CAP", text)
+    code, _, err = invoke(capsys, "shift", "7", "--from", "2", "--to", "3")
+    assert code == 2 and err.strip() == f"grzseq: GRZ_CAP: expected a natural number, got {text!r}"
+
+
+def test_grz_cap_past_the_digit_limit_is_too_long(capsys, monkeypatch):
+    monkeypatch.setenv("GRZ_CAP", "9" * 5000)
+    code, _, err = invoke(capsys, "shift", "7", "--from", "2", "--to", "3")
+    assert code == 2 and err.strip() == "grzseq: GRZ_CAP: number too long"
+
+
+def test_grz_cap_allows_whitespace_around_the_number(capsys, monkeypatch):
+    monkeypatch.setenv("GRZ_CAP", " 5 ")
+    code, out, _ = invoke(capsys, "shift", "7", "--from", "2", "--to", "3")
+    assert code == 1 and out.strip() == ">cap(5)"
+
+
 def test_big_numbers_abbreviate_in_text_only(capsys):
     from grzseq.cli import _fmt_nat
 

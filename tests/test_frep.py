@@ -252,6 +252,17 @@ def test_codec_rejects_a_bool_value(call, x):
     assert str(err.value) == f"value must be a non-negative integer, got {x}"
 
 
+@pytest.mark.parametrize("b", [True, False])
+def test_decode_rejects_bools_in_the_body(b):
+    with pytest.raises(RepError) as err:
+        decode(FRep(2, b), 5)
+    assert str(err.value) == f"atom value {b} not in [0, base 2)"
+    for pair in ((b, 1), (1, b)):
+        with pytest.raises(RepError) as err:
+            decode(FRep(2, (pair,)), 5)
+        assert str(err.value) == f"pair ({pair[0]},{pair[1]}) must hold non-negative integers"
+
+
 def test_shift_same_base_is_identity():
     for x in range(0, 200):
         assert shift_value(x, 3, 3, CAP) == Exact(x)

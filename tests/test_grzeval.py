@@ -2,7 +2,9 @@
 
 import pytest
 
-from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds, fold, in_relation_R
+from naive_eval import naive_iter
+
+from grzseq.grzeval import Exact, ExceedsCap, climb, eval_F, eval_F_iter, exceeds, fold, in_relation_R
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,54 @@ def test_fold_composes_iterates_and_propagates_none():
         raise AssertionError("fold read past an over-cap component")
 
     assert fold(pairs_then_fail(), 2, 100) is None
+
+
+# ---------------------------------------------------------------------------
+# climb: the most iterates, up to a limit, that stay under the cap
+
+
+def naive_climb(n, x, cap, limit):
+    # one naive step at a time while the next iterate fits
+    i = 0
+    while i < limit and (nxt := naive_iter(n, 1, x, cap)) is not None:
+        i, x = i + 1, nxt
+    return i, x
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_climb_matches_naive(n):
+    for cap in [0, 1, 2, 3, 5, 8, 17, 100, 2048, 10**4]:
+        for x in range(min(cap, 40) + 1):
+            for limit in range(7):
+                assert climb(n, x, cap, limit) == naive_climb(n, x, cap, limit), (n, x, cap, limit)
+
+
+def test_climb_limit_zero_is_the_argument():
+    for n in range(6):
+        for cap in (0, 1, 7, 10**30):
+            for x in {0, min(1, cap), cap // 2, cap}:
+                assert climb(n, x, cap, 0) == (0, x)
+
+
+def test_climb_from_zero_and_from_the_cap():
+    # 0 is a fixed point of F_n for n >= 1, so every iterate fits, however many
+    for n in range(1, 6):
+        assert climb(n, 0, 0, 10**100) == (10**100, 0)
+        assert climb(n, 0, 9, 3) == (3, 0)
+    assert climb(0, 0, 9, 10**100) == (9, 9)
+    assert climb(0, 0, 9, 4) == (4, 4)
+    # F_n(x) > x for x > 0: nothing past x = cap fits
+    for n in range(6):
+        for cap in (1, 2, 9, 10**30, 2**2048):
+            assert climb(n, cap, cap, 5) == (0, cap)
+
+
+def test_climb_with_huge_limits_stops_at_the_cap():
+    assert climb(1, 3, 10**7, 10**9) == (21, 3 << 21)
+    assert climb(2, 2, 10**7, 10**100) == (2, 2048)
+    # F_3(2) = 2048, and F_3(2048) >= F_2(F_2(2048)) has more than 2^2059 bits
+    assert climb(3, 2, 2**3000, 10**100) == (1, 2048)
+    assert climb(4, 1, 2**3000, 10**100) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

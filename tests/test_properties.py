@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from naive_eval import naive_iter
 
 from grzseq.frep import TRep, compare, decode, decode_total, encode, shift_total_value, shift_value, to_total
-from grzseq.grzeval import Exact, ExceedsCap, fold
+from grzseq.grzeval import Exact, ExceedsCap, climb, fold
 from grzseq.order import Ordering
 
 
@@ -84,6 +84,21 @@ def test_fold_cutoffs_are_sound(pairs, base, cap):
     got = fold(pairs, base, cap)
     got = Exact(got) if got is not None else ExceedsCap(cap)
     assert confirmed(got, cap, naive_fold(pairs, base, budget_above(cap)))
+
+
+@derandomized(300)
+@given(st.integers(0, 5), caps.flatmap(lambda cap: st.tuples(st.just(cap), st.sampled_from([0, cap]) | st.integers(0, cap))),
+       st.integers(0, 12))
+def test_climb_stops_at_the_last_iterate_under_the_cap(n, cap_x, limit):
+    # x = 0, x = cap and limit = 0 each come up among the examples
+    cap, x = cap_x
+    i, v = climb(n, x, cap, limit)
+    budget = budget_above(cap)
+    assert 0 <= i <= limit and v <= cap
+    assert naive_iter(n, i, x, budget) == v
+    if i < limit:
+        nxt = naive_iter(n, 1, v, budget)
+        assert nxt is None or nxt > cap
 
 
 def naive_shift(v, k, m, budget, hereditary):

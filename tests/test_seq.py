@@ -27,6 +27,20 @@ def test_next_step_examples():
     assert next_step(0, 3, False, CAP) == Exact(0)
 
 
+@pytest.mark.parametrize("z", [True, False])
+def test_run_rejects_a_bool_seed(z):
+    with pytest.raises(ValueError) as err:
+        run(z)
+    assert str(err.value) == f"seed must be a non-negative integer, got {z}"
+
+
+@pytest.mark.parametrize("v,k", [(True, 0), (False, 0), (3, True), (3, False)])
+def test_next_step_rejects_bools(v, k):
+    with pytest.raises(ValueError) as err:
+        next_step(v, k, False, 9)
+    assert str(err.value) == "value and step index must be non-negative integers"
+
+
 def test_run_zero_seed():
     t = run(0)
     assert t.outcome.kind == "terminated" and t.outcome.at == 0
