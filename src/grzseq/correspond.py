@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .frep import encode_pairs
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, exceeds, fold
+from .order import check_nat
 from .ordinals import ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
 
 
@@ -62,9 +63,8 @@ class PaddedProfile:
 
 
 def _check_map_args(x: int, k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(x, int) or x < k:
+    check_nat("base", k, 2)
+    if not isinstance(x, int) or x < k:  # a bool too: True < 2 <= k
         raise ValueError(f"the map needs x >= base, got x={x!r}, base={k}")
 
 
@@ -180,8 +180,7 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
     An a that is not an Ordinal raises ValueError.
     """
     _check_ordinal(a)
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
+    check_nat("base", k, 2)
     if a.is_zero:
         return MembershipReport(True, k, ((Exact(0), 0),), None)
     bound = _membership_bound(a, k)
@@ -204,10 +203,8 @@ def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     ValueError.
     """
     _check_ordinal(a)
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
+    check_nat("base", k, 2)
+    check_nat("cap", cap)
     _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
     return Exact(v) if v is not None and v <= cap else ExceedsCap(cap)
 
@@ -237,12 +234,9 @@ def profile(x: int, n: int, k: int) -> PaddedProfile:
     Defined for base <= x < F_n(base) with n > 0; the bound is checked
     without evaluating F_n(base).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"slot count must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(x, int) or x < k:
-        raise ValueError(f"need x >= base, got x={x!r}, base={k}")
+    check_nat("slot count", n, 1)
+    check_nat("base", k, 2)
+    check_nat("x", x, k)
     if not exceeds(n, 1, k, x):
         raise ValueError(f"x={x} is not below F_{n}({k})")
     return _profile(x, n, k)
@@ -287,8 +281,7 @@ def g_window(n: int, k: int, x: int, count: int) -> list[Ordinal]:
     The ranks of y < k share one exponent object (n itself), and the ranks
     from F_n(k) on are ZERO; count 0 gives the empty window.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
+    check_nat("base", k, 2)
     for v in (n, x, count):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError("slot count and value must be non-negative integers")

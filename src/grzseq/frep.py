@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grzeval import BoundedNat, Exact, ExceedsCap, climb, fold
-from .order import Ordering, ParseError, nat, number, offset, tokens
+from .order import Ordering, ParseError, check_nat, nat, number, offset, tokens
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -107,23 +107,18 @@ def _pairs(x: int, k: int) -> Pairs:
     return tuple(pairs)
 
 
-def _check_encode(x: int, k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"base must be an integer >= 2, got {k!r}")
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-        raise ValueError(f"value must be a non-negative integer, got {x!r}")
-
-
 def encode(x: int, k: int) -> FRep:
     """The unique representation of x with base k (greedy tower search)."""
-    _check_encode(x, k)
+    check_nat("base", k, 2)
+    check_nat("value", x)
     return FRep(k, x if x < k else _pairs(x, k))
 
 
 def encode_pairs(x: int, k: int) -> Pairs:
     """``encode(x, k).pairs`` without building the FRep; an atom (x < k)
     raises RepError as its ``pairs`` does."""
-    _check_encode(x, k)
+    check_nat("base", k, 2)
+    check_nat("value", x)
     if x < k:
         raise RepError("atom has no pairs")
     return _pairs(x, k)
@@ -134,27 +129,26 @@ def encode_pairs(x: int, k: int) -> Pairs:
 
 
 def _check_shape(r: FRep) -> None:
-    if r.is_atom:
-        v = r.body
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < r.base:
-            raise RepError(f"atom value {v!r} not in [0, base {r.base})")
+    # the one shape rule of decode, validate and decode_total's atoms: an
+    # atom in [0, base), or a non-empty tuple of pairs of non-negative ints
+    # with strictly decreasing exponents.  Anything else is a RepError.
+    body = r.body
+    if isinstance(body, int):  # r.is_atom, without the property call
+        if isinstance(body, bool) or not 0 <= body < r.base:
+            raise RepError(f"atom value {body!r} not in [0, base {r.base})")
         return
-    pairs = r.body
-    if not isinstance(pairs, tuple) or len(pairs) == 0:
+    if not isinstance(body, tuple) or len(body) == 0:
         raise RepError("pair list must be non-empty")
     prev = None
-    for e, c in pairs:
+    for pair in body:
+        if type(pair) is not tuple or len(pair) != 2:
+            raise RepError(f"{pair!r} is not an (exponent, count) pair")
+        e, c = pair
         if type(e) is not int or type(c) is not int or e < 0 or c < 0:  # exactly int: no bool
             raise RepError(f"pair ({e!r},{c!r}) must hold non-negative integers")
         if prev is not None and e >= prev:
             raise RepError(f"exponents not strictly decreasing at {e}")
         prev = e
-
-
-def _check_cap(cap: int) -> None:
-    # the check grzeval's public functions make on theirs
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
 
 
 def decode(r: FRep, cap: int) -> BoundedNat:
@@ -164,12 +158,12 @@ def decode(r: FRep, cap: int) -> BoundedNat:
     exponents); the deeper canonicity constraints are ``validate``'s job.
     A cap that is not a non-negative integer raises ValueError.
     """
-    _check_cap(cap)
+    check_nat("cap", cap)
     _check_shape(r)
-    if r.is_atom:
-        v = r.body
+    v = r.body
+    if isinstance(v, int):  # r.is_atom
         return Exact(v) if v <= cap else ExceedsCap(cap)
-    y = fold(r.pairs, r.base, cap)
+    y = fold(v, r.base, cap)
     return Exact(y) if y is not None else ExceedsCap(cap)
 
 
@@ -223,11 +217,10 @@ def _shifted_pairs(v: int, k: int, m: int, cap: int, hereditary: bool, shifted: 
 
 
 def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
-    if not (isinstance(k, int) and isinstance(m, int) and 2 <= k <= m):
-        raise ValueError(f"need 2 <= from-base <= to-base, got {k!r}, {m!r}")
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-        raise ValueError(f"value must be a non-negative integer, got {x!r}")
-    _check_cap(cap)
+    check_nat("from-base", k, 2)
+    check_nat("to-base", m, k)
+    check_nat("value", x)
+    check_nat("cap", cap)
     v = _shift_component(x, k, m, cap, hereditary, {})
     return Exact(v) if v is not None else ExceedsCap(cap)
 
@@ -253,31 +246,22 @@ def shift_total_value(x: int, k: int, m: int, cap: int) -> BoundedNat:
 
 
 def validate(r: FRep) -> ValidationReport:
+    """Check r against decode's shape rule, then against canonicity.
+
+    A shape violation is the report's one violation; nothing raises.
+    """
+    try:
+        _check_shape(r)
+    except RepError as err:
+        return ValidationReport(False, (str(err),))
+    pairs = () if r.is_atom else r.body
     violations: list[str] = []
-    if r.is_atom:
-        v = r.body
-        if not 0 <= v < r.base:
-            violations.append(f"atom value {v} not in [0, base {r.base})")
-        return ValidationReport(not violations, tuple(violations))
-
-    pairs = r.body
-    if len(pairs) == 0:
-        return ValidationReport(False, ("pair list is empty",))
-    is_degenerate = pairs == ((0, 0),)
-    prev = None
-    for p, (e, c) in enumerate(pairs, start=1):
-        if e < 0 or c < 0:
-            violations.append(f"pair {p} holds a negative component")
-        if prev is not None and e >= prev:
-            violations.append(f"exponents not strictly decreasing at pair {p}")
-        prev = e
-        if c == 0 and not is_degenerate:
-            violations.append(f"count 0 at pair {p} (only the bare-base [(0,0)] may carry it)")
-
     # count bounds: c_p < k_p, probed with the running maximum count as cap
-    maxc = max(c for _, c in pairs)
+    maxc = max((c for _, c in pairs), default=0)
     chain: int | None = r.base
     for p, (e, c) in enumerate(pairs, start=1):
+        if c == 0 and pairs != ((0, 0),):
+            violations.append(f"count 0 at pair {p} (only the bare-base [(0,0)] may carry it)")
         if chain is not None:
             if c >= chain:
                 violations.append(f"count {c} at pair {p} not below intermediate base {chain}")
@@ -292,7 +276,8 @@ def validate(r: FRep) -> ValidationReport:
 
 def to_total(x: int, k: int) -> TRep:
     """Represent x with both exponents and counts recursively represented."""
-    _check_encode(x, k)
+    check_nat("base", k, 2)
+    check_nat("value", x)
     # each distinct sub-value is encoded once, then its tree is built once, in
     # increasing order (the components of a pair form lie below its value),
     # so equal sub-trees are shared (TRep is frozen).  Trees are about half
@@ -311,17 +296,16 @@ def to_total(x: int, k: int) -> TRep:
 
 
 def _decode_total(t: TRep, cap: int) -> int | None:
-    if t.is_atom:
-        v = t.body
-        if not 0 <= v < t.base:
-            raise RepError(f"atom value {v!r} not in [0, base {t.base})")
-        return v if v <= cap else None
-    if t.body == ():
+    body = t.body
+    if isinstance(body, int):  # t.is_atom, without the property call
+        _check_shape(t)
+        return body if body <= cap else None
+    if body == ():
         raise RepError("pair list must be non-empty")
-    return fold(_decoded_pairs(t, cap), t.base, cap)
+    return fold(_decoded_pairs(body, cap), t.base, cap)
 
 
-def _decoded_pairs(t: TRep, cap: int):
+def _decoded_pairs(pairs: tuple, cap: int):
     # lazily, for fold: a count is decoded only once its exponent fits the cap.
     # An over-cap exponent after an exact one exceeds cap >= that one, so it
     # breaks the strict descent too.  An exponent e past cap sinks the fold
@@ -330,7 +314,7 @@ def _decoded_pairs(t: TRep, cap: int):
     # it lies below it; one past the cap too cannot be ordered against it
     # under the cap, so there only a repeat of the same tree is caught.
     prev = over = None
-    for e, c in t.pairs:
+    for e, c in pairs:
         ev = _decode_total(e, cap)
         if prev is not None and (ev is None or ev >= prev):
             raise RepError(f"exponents not strictly decreasing after {prev}")
@@ -349,7 +333,7 @@ def _decoded_pairs(t: TRep, cap: int):
 def decode_total(t: TRep, cap: int) -> BoundedNat:
     """Fold a hereditary tree back into a number, cutoff-aware.  A cap that is
     not a non-negative integer raises ValueError."""
-    _check_cap(cap)
+    check_nat("cap", cap)
     v = _decode_total(t, cap)
     return Exact(v) if v is not None else ExceedsCap(cap)
 
@@ -453,6 +437,8 @@ def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
     their base in the ``]_k`` suffix.  The result is an FRep when every item
     is a plain number and a TRep when any item nests.
     """
+    if base is not None:
+        check_nat("base", base, 2)
     return _rep_from_raw(_parse_raw(text), text, base)
 
 

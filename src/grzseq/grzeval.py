@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .order import check_nat
+
 
 @dataclass(frozen=True)
 class Exact:
@@ -42,11 +44,6 @@ class CapExceededError(ArithmeticError):
     def __init__(self, cap: int):
         super().__init__(f"required value exceeds cap {cap}")
         self.cap = cap
-
-
-def _check_nat(name: str, v: int) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
 
 def _f2(x: int, cap: int) -> int | None:
@@ -137,19 +134,19 @@ def eval_F(n: int, x: int, cap: int) -> BoundedNat:
 
     Returns Exact(F_n(x)) when F_n(x) <= cap, ExceedsCap(cap) otherwise.
     """
-    _check_nat("n", n)
-    _check_nat("x", x)
-    _check_nat("cap", cap)
+    check_nat("n", n)
+    check_nat("x", x)
+    check_nat("cap", cap)
     v = _eval(n, x, cap)
     return Exact(v) if v is not None else ExceedsCap(cap)
 
 
 def eval_F_iter(n: int, i: int, x: int, cap: int) -> BoundedNat:
     """Evaluate the i-th iterate F_n^(i)(x) under a cap."""
-    _check_nat("n", n)
-    _check_nat("i", i)
-    _check_nat("x", x)
-    _check_nat("cap", cap)
+    check_nat("n", n)
+    check_nat("i", i)
+    check_nat("x", x)
+    check_nat("cap", cap)
     if x <= cap:
         j, v = climb(n, x, cap, i)
         if j == i:
@@ -159,16 +156,16 @@ def eval_F_iter(n: int, i: int, x: int, cap: int) -> BoundedNat:
 
 def exceeds(n: int, i: int, x: int, bound: int) -> bool:
     """True iff F_n^(i)(x) > bound.  Cheap: never materializes the value."""
-    _check_nat("n", n)
-    _check_nat("i", i)
-    _check_nat("x", x)
-    _check_nat("bound", bound)
+    check_nat("n", n)
+    check_nat("i", i)
+    check_nat("x", x)
+    check_nat("bound", bound)
     return x > bound or climb(n, x, bound, i)[0] < i
 
 
 def in_relation_R(n: int, x: int, y: int) -> bool:
     """True iff F_n(x) = y (the graph of the hierarchy as a ternary relation)."""
-    _check_nat("n", n)
-    _check_nat("x", x)
-    _check_nat("y", y)
+    check_nat("n", n)
+    check_nat("x", x)
+    check_nat("y", y)
     return _eval(n, x, y) == y

@@ -1,5 +1,5 @@
-"""Pieces shared by the codec and ordinal modules: the three-way comparison
-result and the lexer both text grammars read."""
+"""Pieces shared by every module: the three-way comparison result, the lexer
+both text grammars read, and ``check_nat``, the one integer-argument check."""
 
 from __future__ import annotations
 
@@ -19,6 +19,14 @@ class Ordering(enum.Enum):
         if c > 0:
             return Ordering.GT
         return Ordering.EQ
+
+
+def check_nat(name: str, v: int, least: int = 0) -> None:
+    """Raise ValueError unless v is an int, not a bool, and at least least."""
+    # an exact int, the common case, skips both isinstance tests
+    if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))) or v < least:
+        want = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {want}, got {v!r}")
 
 
 class ParseError(ValueError):

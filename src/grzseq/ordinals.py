@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .order import Ordering, ParseError, nat, number, offset, tokens
+from .order import Ordering, ParseError, check_nat, nat, number, offset, tokens
 
 # Key markers: CLOSE < OPEN < every coefficient.
 OPEN, CLOSE = 0, -1
@@ -42,8 +42,7 @@ class Ordinal:
         for e, c in self.terms:
             if not isinstance(e, Ordinal):
                 raise ValueError(f"exponent {e!r} is not an Ordinal")
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValueError(f"coefficient {c!r} must be a positive integer")
+            check_nat("coefficient", c, 1)
             ek = e.key
             if prev is not None and prev <= ek:
                 raise ValueError("exponents must be strictly decreasing")
@@ -156,8 +155,7 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     """w^e * coeff as a single-term ordinal."""
     if not isinstance(e, Ordinal):
         raise ValueError(f"exponent {e!r} is not an Ordinal")
-    if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
-        raise ValueError(f"coefficient {coeff!r} must be a positive integer")
+    check_nat("coefficient", coeff, 1)
     if type(e) is _Tower or len(e.key) > _EAGER_EXPONENT_KEY:
         return _Tower(((e, coeff),))
     return _ordinal(((e, coeff),), (OPEN, *e.key, coeff, CLOSE))
@@ -209,8 +207,7 @@ def mul_omega_omega(a: Ordinal) -> Ordinal:
 
 def omega_tower(n: int) -> Ordinal:
     """w_0 = 1 and w_{n+1} = w^{w_n}."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"tower height must be a non-negative integer, got {n!r}")
+    check_nat("tower height", n)
     t = ONE
     for _ in range(n):
         t = omega_pow(t)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .correspond import L_inverse, Q_pred, in_D, o_map
 from .frep import FRep, TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
+from .order import check_nat
 from .ordinals import Ordinal, ordinal_to_json
 
 
@@ -84,6 +85,7 @@ def next_step(v: int, k: int, hereditary: bool, cap: int) -> BoundedNat:
     """One step of the rule at index k (base 2+k), cutoff-aware."""
     if not (isinstance(v, int) and isinstance(k, int)) or bool in (type(v), type(k)) or v < 0 or k < 0:
         raise ValueError("value and step index must be non-negative integers")
+    check_nat("cap", cap)
     base = 2 + k
     if v < base:
         return Exact(v - 1 if v > 0 else 0)
@@ -101,9 +103,11 @@ def run(
     max_steps: int = 10**4,
     with_shadow: bool = False,
 ) -> Trace:
-    """Iterate the rule from seed z until zero, cap overflow, or the step limit."""
-    if not isinstance(z, int) or isinstance(z, bool) or z < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {z!r}")
+    """Iterate the rule from seed z until zero, cap overflow, or the step limit.
+    The seed, the cap and the step limit are checked up front, whatever the seed."""
+    check_nat("seed", z)
+    check_nat("cap", cap)
+    check_nat("max_steps", max_steps)
     steps: list[TraceStep] = []
     v, k = z, 0
     outcome: Outcome | None = None
@@ -178,6 +182,7 @@ def dominate_check(gammas: list[Ordinal], cap: int = 10**7) -> DominationReport:
     The input must be strictly descending with entry k a member of D_{2+k};
     anything else is rejected outright.
     """
+    check_nat("cap", cap)
     for a, b in zip(gammas, gammas[1:]):
         if not b < a:
             raise ValueError(f"chain not strictly descending at {a} then {b}")

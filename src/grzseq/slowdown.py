@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .correspond import g as rank_g, g_window
 from .grzeval import exceeds
+from .order import check_nat
 from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
     ONE,
     Ordinal,
@@ -54,11 +55,9 @@ def slow_g(n: int, k: int, x: int) -> Ordinal:
     """The single-function slowdown rank: the windowed assignment at base
     max(2, k), for a caller-chosen hierarchy index n >= 1 bounding the
     function being slowed."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"hierarchy index must be a positive integer, got {n!r}")
-    if (not isinstance(k, int) or isinstance(k, bool) or k < 0
-            or not isinstance(x, int) or isinstance(x, bool) or x < 0):
-        raise ValueError("arguments must be non-negative integers")
+    check_nat("hierarchy index", n, 1)
+    check_nat("k", k)
+    check_nat("x", x)
     return rank_g(n, max(2, k), x)
 
 
@@ -79,10 +78,8 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
     measures C(a_{k+1}) <= F_n(max(2,k)).
     """
     _validate_chain(alphas)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"hierarchy index must be a positive integer, got {n!r}")
-    if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-        raise ValueError(f"constant must be a non-negative integer, got {c!r}")
+    check_nat("hierarchy index", n, 1)
+    check_nat("constant", c)
     measures = [coeff_measure(a) for a in alphas]
     for k in range(len(alphas) - 1):
         ck = measures[k + 1]

@@ -12,6 +12,7 @@ from grzseq.frep import (
     ParseError,
     RepError,
     TRep,
+    ValidationReport,
     compare,
     decode,
     decode_total,
@@ -364,6 +365,15 @@ def test_validate_atom():
     assert not validate(FRep(5, 7)).ok
 
 
+@pytest.mark.parametrize("body", [(("a", 1),), "xy", True, ((1, True),), ((2.0, 1),), ((1,),), (None,), [(1, 1)]], ids=repr)
+def test_validate_reports_what_decode_rejects(body):
+    # decode's shape rule comes first, and its RepError is the one violation
+    r = FRep(2, body)
+    with pytest.raises(RepError) as err:
+        decode(r, CAP)
+    assert validate(r) == ValidationReport(False, (str(err.value),))
+
+
 # ---------------------------------------------------------------------------
 # Hereditary representation
 
@@ -414,6 +424,13 @@ def test_decode_total_over_cap_exponent_with_count_zero():
             decode_total(TRep(2, ((big, TRep(2, 0)), (big, TRep(2, 0)), *tail)), 100)
     with pytest.raises(RepError):
         decode(FRep(2, ((10**6, 0), (10**6, 0), (1, 1))), 100)
+
+
+def test_decode_total_rejects_a_bool_atom():
+    # the atom clause of decode's shape rule, at any depth of the tree
+    for t in (TRep(2, True), TRep(2, ((TRep(2, True), TRep(2, 1)),)), TRep(2, ((TRep(2, 1), TRep(2, False)),))):
+        with pytest.raises(RepError, match="not in \\[0, base 2\\)"):
+            decode_total(t, 100)
 
 
 def test_decode_total_rejects_an_empty_pair_list():

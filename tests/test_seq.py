@@ -34,6 +34,16 @@ def test_run_rejects_a_bool_seed(z):
     assert str(err.value) == f"seed must be a non-negative integer, got {z}"
 
 
+@pytest.mark.parametrize("bad", ["x", True, -1, 2.5])
+@pytest.mark.parametrize("z", [1, 5])
+def test_run_checks_cap_and_max_steps_up_front(z, bad):
+    # seed 1 counts down without a shift, so only an up-front check sees them
+    for name in ("cap", "max_steps"):
+        with pytest.raises(ValueError) as err:
+            run(z, **{name: bad})
+        assert str(err.value).startswith(f"{name} must be a non-negative integer, got ")
+
+
 @pytest.mark.parametrize("v,k", [(True, 0), (False, 0), (3, True), (3, False)])
 def test_next_step_rejects_bools(v, k):
     with pytest.raises(ValueError) as err:
