@@ -22,7 +22,7 @@ class Ordering(enum.Enum):
 
 
 def check_nat(name: str, v: int, least: int = 0) -> None:
-    """Raise ValueError unless v is an int, not a bool, and at least least."""
+    """Raise ValueError unless v is an int (a bool is not) no smaller than least."""
     # an exact int, the common case, skips both isinstance tests
     if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))) or v < least:
         want = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")

@@ -1,7 +1,8 @@
-"""The integer-argument contract: every integer parameter of a public function
-goes through ``order.check_nat``, so a bool, a negative number, a float, a
-string, None or a value below the parameter's least raises ValueError, never
-a TypeError and never an answer."""
+"""The integer-argument contract: a bool, a negative number, a float, a string,
+None or a value below the parameter's least, passed as an integer argument of
+a public function, raises ValueError, never a TypeError and never an answer.
+``order.check_nat`` makes the check everywhere but at four sites that keep
+the messages other tests pin."""
 
 import inspect
 
