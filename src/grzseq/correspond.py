@@ -21,11 +21,9 @@ by the slowdown construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .frep import encode_pairs
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, exceeds, fold
-from .order import check_nat
+from .order import Record, check_nat
 from .ordinals import ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
 
 
@@ -38,24 +36,29 @@ class NotInDError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    base: int
-    skeleton: tuple[tuple[BoundedNat, int], ...] | None
-    reason: str | None
+class MembershipReport(Record):
+    __slots__ = _fields = ("member", "base", "skeleton", "reason")
+
+    def __init__(self, member: bool, base: int, skeleton: tuple[tuple[BoundedNat, int], ...] | None,
+                 reason: str | None):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class PaddedProfile:
+class PaddedProfile(Record):
     """Counts of x placed into n slots (slot q holds the count of exponent n-q),
     together with the chain of intermediate bases m_1 = base,
     m_{q+1} = F_{n-q}^(j_q)(m_q)."""
 
-    n: int
-    base: int
-    j: tuple[int, ...]
-    m: tuple[int, ...]
+    __slots__ = _fields = ("n", "base", "j", "m")
+
+    def __init__(self, n: int, base: int, j: tuple[int, ...], m: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "m", m)
 
 
 # ---------------------------------------------------------------------------

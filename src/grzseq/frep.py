@@ -17,10 +17,8 @@ cap reports ExceedsCap instead of computing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grzeval import BoundedNat, Exact, ExceedsCap, climb, fold
-from .order import Ordering, ParseError, check_nat, nat, number, offset, tokens
+from .order import Ordering, ParseError, Record, check_nat, nat, number, offset, tokens
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -29,20 +27,20 @@ class RepError(ValueError):
     """A structurally broken representation."""
 
 
-@dataclass(frozen=True)
-class FRep:
+class FRep(Record):
     """Representation with plain integer exponents and counts.
 
     ``body`` is an int (atom, value below the base) or a tuple of
     (exponent, count) pairs.
     """
 
-    base: int
-    body: int | Pairs
+    __slots__ = _fields = ("base", "body")
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise RepError(f"base must be an integer >= 2, got {self.base!r}")
+    def __init__(self, base: int, body: int | Pairs):
+        if not isinstance(base, int) or base < 2:
+            raise RepError(f"base must be an integer >= 2, got {base!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "body", body)
 
     @property
     def is_atom(self) -> bool:
@@ -58,17 +56,71 @@ class FRep:
         return print_rep(self)
 
 
-@dataclass(frozen=True)
 class TRep(FRep):
-    """Hereditary representation: exponents and counts are themselves TReps."""
+    """Hereditary representation: exponents and counts are themselves TReps,
+    so ``body`` is an atom or a tuple of (TRep, TRep) pairs.  Equality and
+    hashing take trees of any depth."""
 
-    body: int | tuple[tuple["TRep", "TRep"], ...]
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not TRep:
+            return NotImplemented
+        # one explicit-stack walk over nodes, bodies and pairs, as the fields'
+        # tuple compare would recurse.  to_total shares equal sub-trees, so a
+        # pair of nodes is matched once however often the trees reach it:
+        # once expanded it either matches or ends the walk with False
+        todo, matched = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is tuple and type(b) is tuple:
+                if len(a) != len(b):
+                    return False
+                todo += zip(a, b)
+            elif a.__class__ is TRep and b.__class__ is TRep:
+                if (pair := (id(a), id(b))) not in matched:
+                    if a.base != b.base:
+                        return False
+                    matched.add(pair)
+                    todo.append((a.body, b.body))
+            elif a != b:  # atoms, and the odd items of a hand-built body
+                return False
+        return True
+
+    def __hash__(self):
+        # one post-order pass over the distinct nodes, each hashed once from
+        # its children's hashes, kept by id for this call only
+        hashed, todo = {}, [(self, False)]
+        while todo:
+            t, kids_done = todo.pop()
+            if id(t) in hashed:
+                continue
+            body = t.body
+            if kids_done:  # a pair form, hashed as a tuple of its children's hashes
+                hashed[id(t)] = hash((t.base, tuple([(hashed[id(e)], hashed[id(c)]) for e, c in body])))
+            elif not _is_pair_form(body):
+                hashed[id(t)] = hash((t.base, body))
+            else:
+                todo.append((t, True))
+                todo += [(x, False) for pair in body for x in pair if id(x) not in hashed]
+        return hashed[id(self)]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
+def _is_pair_form(body) -> bool:
+    # the shape of a hereditary pair form: a non-empty tuple of (TRep, TRep)
+    return type(body) is tuple and len(body) > 0 and all(
+        type(p) is tuple and len(p) == 2 and p[0].__class__ is TRep and p[1].__class__ is TRep for p in body
+    )
+
+
+class ValidationReport(Record):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +352,8 @@ def _decode_total(t: TRep, cap: int) -> int | None:
     if isinstance(body, int):  # t.is_atom, without the property call
         _check_shape(t)
         return body if body <= cap else None
-    if body == ():
-        raise RepError("pair list must be non-empty")
+    if not _is_pair_form(body):  # checked as the walk reaches each node
+        raise RepError("pair list must be " + ("non-empty" if body == () else "a tuple of (TRep, TRep) pairs"))
     return fold(_decoded_pairs(body, cap), t.base, cap)
 
 

@@ -15,24 +15,27 @@ values that fit under the cap, never by the size of the true value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .order import check_nat
+from .order import Record, check_nat
 
 
-@dataclass(frozen=True)
-class Exact:
+class Exact(Record):
     """A value that fit under the cap in force."""
 
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ExceedsCap:
+class ExceedsCap(Record):
     """Marker for a value provably greater than ``cap``."""
 
-    cap: int
+    __slots__ = _fields = ("cap",)
+
+    def __init__(self, cap: int):
+        object.__setattr__(self, "cap", cap)
 
 
 BoundedNat = Exact | ExceedsCap

@@ -1,10 +1,48 @@
-"""Pieces shared by every module: the three-way comparison result, the lexer
-both text grammars read, and ``check_nat``, the one integer-argument check."""
+"""Pieces shared by every module: the base of the immutable records, the
+three-way comparison result, the lexer both text grammars read, and
+``check_nat``, the one integer-argument check."""
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
+
+
+class Record:
+    """An immutable record.  A subclass names its fields in ``_fields`` (and
+    in ``__slots__``) and sets them in its own ``__init__`` through
+    ``object.__setattr__``.  Records are equal when they are of one class
+    with equal fields, hash by their fields and print as ``Exact(value=5)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # reads the fields in C, so == and hash cost about what a dataclass's do
+        cls._values = operator.attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class Ordering(enum.Enum):

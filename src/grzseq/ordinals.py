@@ -14,17 +14,15 @@ measure C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
-from .order import Ordering, ParseError, check_nat, nat, number, offset, tokens
+from .order import Ordering, ParseError, Record, check_nat, nat, number, offset, tokens
 
 # Key markers: CLOSE < OPEN < every coefficient.
 OPEN, CLOSE = 0, -1
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Ordinal:
+class Ordinal(Record):
     """Order, equality, hashing and C all come from ``key``, the flat token
     tuple (OPEN, *e_1.key, c_1, ..., *e_m.key, c_m, CLOSE).  Where two keys
     first differ is inside two exponents, at two coefficients of equal
@@ -33,13 +31,14 @@ class Ordinal:
     its own key, built once from its children's: O(subtree size) per node,
     except deep tower levels, whose keys wait for a reader (``_Tower``)."""
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
-    key: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ("terms", "key")
+    _fields = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[Ordinal, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
         key = [OPEN]
         prev = None
-        for e, c in self.terms:
+        for e, c in terms:
             if not isinstance(e, Ordinal):
                 raise ValueError(f"exponent {e!r} is not an Ordinal")
             check_nat("coefficient", c, 1)
@@ -99,8 +98,8 @@ class _Tower(Ordinal):
 
     __slots__ = ()
 
-    def __post_init__(self):  # omega_pow, its one builder, checked the term
-        pass
+    def __init__(self, terms: tuple[tuple[Ordinal, int], ...]):
+        object.__setattr__(self, "terms", terms)  # omega_pow, its one builder, checked the term
 
     def __getattr__(self, name):  # reached only while the key slot is empty
         if name != "key":

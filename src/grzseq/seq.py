@@ -17,12 +17,11 @@ symbolic description of the offending shift.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .correspond import L_inverse, Q_pred, in_D, o_map
 from .frep import FRep, TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
-from .order import check_nat
+from .order import Record, check_nat
 from .ordinals import Ordinal, ordinal_to_json
 
 
@@ -33,30 +32,38 @@ class Phase(enum.Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    k: int
-    base: int
-    value: BoundedNat
-    rep: FRep | TRep | None
-    shadow: Ordinal | None
-    phase: Phase
+class TraceStep(Record):
+    __slots__ = _fields = ("k", "base", "value", "rep", "shadow", "phase")
+
+    def __init__(self, k: int, base: int, value: BoundedNat, rep: FRep | TRep | None, shadow: Ordinal | None,
+                 phase: Phase):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "shadow", shadow)
+        object.__setattr__(self, "phase", phase)
 
 
-@dataclass(frozen=True)
-class Outcome:
-    kind: str  # "terminated" | "overflowed_cap" | "step_limit"
-    at: int
+class Outcome(Record):
+    __slots__ = _fields = ("kind", "at")
+
+    def __init__(self, kind: str, at: int):  # kind: "terminated" | "overflowed_cap" | "step_limit"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "at", at)
 
 
-@dataclass(frozen=True)
-class Trace:
-    start: int
-    hereditary: bool
-    cap: int
-    steps: tuple[TraceStep, ...]
-    outcome: Outcome
-    overflow_desc: str | None = None
+class Trace(Record):
+    __slots__ = _fields = ("start", "hereditary", "cap", "steps", "outcome", "overflow_desc")
+
+    def __init__(self, start: int, hereditary: bool, cap: int, steps: tuple[TraceStep, ...], outcome: Outcome,
+                 overflow_desc: str | None = None):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "hereditary", hereditary)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "overflow_desc", overflow_desc)
 
     def values(self) -> list[BoundedNat]:
         return [s.value for s in self.steps]
@@ -65,20 +72,25 @@ class Trace:
         return [s.value.value for s in self.steps if isinstance(s.value, Exact)]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    checked: int
-    skipped: int
-    violations: tuple[str, ...]
+class CheckReport(Record):
+    __slots__ = _fields = ("ok", "checked", "skipped", "violations")
+
+    def __init__(self, ok: bool, checked: int, skipped: int, violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    ok: bool
-    entries: tuple[tuple[int, int, int], ...]  # (k, v_k, z_k) actually compared
-    skipped: tuple[int, ...]
-    violations: tuple[str, ...]
+class DominationReport(Record):
+    __slots__ = _fields = ("ok", "entries", "skipped", "violations")
+
+    def __init__(self, ok: bool, entries: tuple[tuple[int, int, int], ...], skipped: tuple[int, ...],
+                 violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "entries", entries)  # (k, v_k, z_k) actually compared
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "violations", violations)
 
 
 def next_step(v: int, k: int, hereditary: bool, cap: int) -> BoundedNat:

@@ -19,12 +19,11 @@ every i decomposable inside the given finite chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .correspond import g as rank_g, g_window
 from .grzeval import exceeds
-from .order import check_nat
+from .order import Record, check_nat
 from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
     ONE,
     Ordinal,
@@ -37,18 +36,23 @@ from .ordinals import (  # the chain-file reader and writer sit beside the ordin
 )
 
 
-@dataclass(frozen=True)
-class SlowChain:
-    entries: tuple[Ordinal, ...]
-    tower_prefix_len: int  # ell
-    tower_height_base: int  # N
-    note: str | None = None
+class SlowChain(Record):
+    __slots__ = _fields = ("entries", "tower_prefix_len", "tower_height_base", "note")
+
+    def __init__(self, entries: tuple[Ordinal, ...], tower_prefix_len: int, tower_height_base: int,
+                 note: str | None = None):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "tower_prefix_len", tower_prefix_len)  # ell
+        object.__setattr__(self, "tower_height_base", tower_height_base)  # N
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class SlowReport:
-    ok: bool
-    violations: tuple[str, ...]
+class SlowReport(Record):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 def slow_g(n: int, k: int, x: int) -> Ordinal:

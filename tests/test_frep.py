@@ -434,10 +434,21 @@ def test_decode_total_rejects_a_bool_atom():
 
 
 def test_decode_total_rejects_an_empty_pair_list():
-    with pytest.raises(RepError):
+    with pytest.raises(RepError, match="^pair list must be non-empty$"):
         decode_total(TRep(2, ()), CAP)
     with pytest.raises(RepError):  # nested as an exponent
         decode_total(TRep(2, ((TRep(2, ()), TRep(2, 1)),)), CAP)
+
+
+@pytest.mark.parametrize("body", [((1, 1),), "xy", ((TRep(2, 1),),), ((TRep(2, 1), 1),), [(TRep(2, 1), TRep(2, 1))]],
+                         ids=["int-pair", "str", "1-tuple", "int-count", "list"])
+def test_decode_total_rejects_a_pair_form_that_is_not_pairs_of_treps(body):
+    # the node's shape is checked as the walk reaches it, at any depth
+    for t in (TRep(2, body), TRep(2, ((TRep(2, body), TRep(2, 1)),)), TRep(2, ((TRep(2, 1), TRep(2, body)),))):
+        with pytest.raises(RepError, match=r"^pair list must be a tuple of \(TRep, TRep\) pairs$"):
+            decode_total(t, 100)
+    # still lazy: the count of an over-cap exponent is not reached
+    assert decode_total(TRep(2, ((to_total(10**6, 2), TRep(2, body)),)), 100) == ExceedsCap(100)
 
 
 def test_decode_total_rejects_exponents_that_do_not_fall():
@@ -520,6 +531,61 @@ def stack_depth():
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
+
+
+def reference_eq(s, t):
+    """The == of a frozen dataclass TRep: its fields' tuple compare, recursing
+    once per level."""
+    if type(s) is TRep and type(t) is TRep:
+        return s.base == t.base and reference_eq(s.body, t.body)
+    if type(s) is tuple and type(t) is tuple:
+        return len(s) == len(t) and all(map(reference_eq, s, t))
+    return s == t
+
+
+def odd_treps():
+    # hand-built trees, each built afresh per call, that share no node
+    one = TRep(2, 1)
+    return [TRep(2, 1), TRep(3, 1), TRep(2, 0), TRep(2, ()), TRep(2, "xy"), TRep(2, (1,)), TRep(2, ((1, 1),)),
+            TRep(2, ((1, 2),)), TRep(2, ((one, 1),)), TRep(2, ((one, one),)), TRep(3, ((one, one),)),
+            TRep(2, ((one, one), (one, one))), TRep(2, ((one, TRep(2, 0)),)), FRep(2, 1), FRep(2, ((1, 1),))]
+
+
+def test_trep_eq_and_hash_match_the_recursive_reference():
+    values = [*range(40), 10**20, 10**20 + 1, 10**60]
+    trees = [to_total(x, k) for k in (2, 3) for x in values] + odd_treps()
+    again = [to_total(x, k) for k in (2, 3) for x in values] + odd_treps()
+    for s, s2 in zip(trees, again):
+        assert s == s2 and hash(s) == hash(s2)
+        for t in trees:
+            assert (s == t) == reference_eq(s, t) == (t == s), (s, t)
+            assert (s != t) != (s == t)
+    assert FRep(2, 3) != TRep(2, 3) and TRep(2, 3) != FRep(2, 3)
+    assert FRep(2, ((1, 1),)) != TRep(2, ((1, 1),))
+
+
+@pytest.mark.parametrize("digits", [400, 1000, 3000])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_trep_eq_and_hash_take_any_depth_from_any_caller(digits, k):
+    import random
+
+    x = random.Random(digits + k).randrange(10 ** (digits - 1), 10**digits)
+    a, b = to_total(x, k), to_total(x, k)  # built apart: no node in common
+    shallow = a == b, hash(a)
+    deep = at_depth(800, lambda: (b == a, hash(b)))
+    assert shallow == (True, deep[1]) and deep[0]
+
+
+def test_trep_eq_finds_a_difference_at_the_bottom_of_a_long_chain():
+    def chain(bottom):
+        t = TRep(2, bottom)
+        for _ in range(5000):
+            t = TRep(2, ((t, TRep(2, 1)),))
+        return t
+
+    a, b, c = chain(0), chain(0), chain(1)
+    for extra in (0, 800):
+        assert at_depth(extra, lambda: (a == b, a != c, c != a, hash(a) == hash(b))) == (True, True, True, True)
 
 
 def test_rep_text_nesting_limit_is_fixed():

@@ -114,10 +114,10 @@ def test_from_int_messages_unchanged(n, shown):
 
 
 def test_o_k_path_builds_no_frep(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("an FRep was built")
 
-    monkeypatch.setattr(frep.FRep, "__post_init__", refuse)
+    monkeypatch.setattr(frep.FRep, "__init__", refuse)
     with pytest.raises(AssertionError):
         encode(9, 2)  # the patch holds
     for k in (2, 3):

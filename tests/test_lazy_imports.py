@@ -67,6 +67,12 @@ def test_submodules_import_by_name_from_a_fresh_process():
     assert {"grzseq.correspond", "grzseq.seq", "grzseq.slowdown"} <= loaded
 
 
+def test_no_module_loads_dataclasses_or_inspect():
+    # the records are plain slotted classes: a CLI process pays for neither
+    loaded = loaded_by("from grzseq import cli, correspond, frep, grzeval, ordinals, seq, slowdown")
+    assert "grzseq.cli" in loaded and not loaded & {"dataclasses", "inspect"}
+
+
 def test_all_lists_the_exported_names():
     assert sorted(grzseq.__all__) == sorted(SOURCES)
     assert set(SOURCES) <= set(dir(grzseq))
