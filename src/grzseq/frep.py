@@ -110,9 +110,12 @@ class TRep(FRep):
 
 def _is_pair_form(body) -> bool:
     # the shape of a hereditary pair form: a non-empty tuple of (TRep, TRep)
-    return type(body) is tuple and len(body) > 0 and all(
-        type(p) is tuple and len(p) == 2 and p[0].__class__ is TRep and p[1].__class__ is TRep for p in body
-    )
+    if type(body) is not tuple or not body:
+        return False
+    for p in body:  # a loop, not all() over a generator: decode_total runs this at every node
+        if type(p) is not tuple or len(p) != 2 or p[0].__class__ is not TRep or p[1].__class__ is not TRep:
+            return False
+    return True
 
 
 class ValidationReport(Record):
@@ -350,7 +353,8 @@ def to_total(x: int, k: int) -> TRep:
 def _decode_total(t: TRep, cap: int) -> int | None:
     body = t.body
     if isinstance(body, int):  # t.is_atom, without the property call
-        _check_shape(t)
+        if type(body) is not int or not 0 <= body < t.base:
+            _check_shape(t)  # raises
         return body if body <= cap else None
     if not _is_pair_form(body):  # checked as the walk reaches each node
         raise RepError("pair list must be " + ("non-empty" if body == () else "a tuple of (TRep, TRep) pairs"))
