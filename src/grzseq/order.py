@@ -39,7 +39,10 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+        parts = []
+        for f in self._fields:  # a loop: a comprehension would add a frame per level of a TRep
+            parts.append(f"{f}={getattr(self, f)!r}")
+        return f"{type(self).__qualname__}({', '.join(parts)})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), tuple(getattr(self, f) for f in self._fields)

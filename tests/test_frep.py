@@ -564,22 +564,47 @@ def test_trep_eq_and_hash_match_the_recursive_reference():
     assert FRep(2, ((1, 1),)) != TRep(2, ((1, 1),))
 
 
+def rebuilt(t):
+    """A copy of tree t that shares no node with it, each distinct node built
+    once, after its children, without recursion."""
+    new, todo = {}, [t]
+    while todo:
+        s = todo.pop()
+        if id(s) in new:
+            continue
+        pairs = s.body if isinstance(s.body, tuple) else ()
+        kids = [x for pair in pairs for x in pair if id(x) not in new]
+        if kids:
+            todo += [s, *kids]
+        else:
+            new[id(s)] = TRep(s.base, tuple((new[id(e)], new[id(c)]) for e, c in pairs) if pairs else s.body)
+    return new[id(t)]
+
+
 @pytest.mark.parametrize("digits", [400, 1000, 3000])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_trep_eq_and_hash_take_any_depth_from_any_caller(digits, k):
     import random
 
     x = random.Random(digits + k).randrange(10 ** (digits - 1), 10**digits)
-    a, b = to_total(x, k), to_total(x, k)  # built apart: no node in common
+    a = to_total(x, k)
+    b = rebuilt(a)  # no node in common, so no answer comes from `is`
+    assert b is not a and b.body[0][0] is not a.body[0][0]
     shallow = a == b, hash(a)
     deep = at_depth(800, lambda: (b == a, hash(b)))
     assert shallow == (True, deep[1]) and deep[0]
 
 
+def test_repr_prints_a_tree_as_deep_as_before():
+    # 258 levels, which the dataclass repr printed too
+    t = to_total(10**150 + 7, 2)
+    assert repr(t).startswith("TRep(base=2, body=((TRep(base=2, body=((TRep(")
+
+
 def test_trep_eq_finds_a_difference_at_the_bottom_of_a_long_chain():
     def chain(bottom):
         t = TRep(2, bottom)
-        for _ in range(5000):
+        for _ in range(2000):  # twice the default recursion limit
             t = TRep(2, ((t, TRep(2, 1)),))
         return t
 
