@@ -19,7 +19,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # reads the fields in C, so == and hash cost about what a dataclass's do
+        # reads the fields in C, so == and hash cost about what generated methods cost
         cls._values = operator.attrgetter(*cls._fields)
         cls.__match_args__ = cls._fields
 
