@@ -34,7 +34,11 @@ class FRep(Record):
     (exponent, count) pairs.
     """
 
-    __slots__ = _fields = ("base", "body")
+    # _shaped, outside the fields, marks a rep that encode built: its body
+    # keeps decode's shape rule by construction.  __init__ leaves it unset,
+    # so hand-built, copied and unpickled reps count as unmarked
+    __slots__ = ("base", "body", "_shaped")
+    _fields = ("base", "body")
 
     def __init__(self, base: int, body: int | Pairs):
         if not isinstance(base, int) or base < 2:
@@ -58,8 +62,8 @@ class FRep(Record):
 
 class TRep(FRep):
     """Hereditary representation: exponents and counts are themselves TReps,
-    so ``body`` is an atom or a tuple of (TRep, TRep) pairs.  Equality and
-    hashing take trees of any depth."""
+    so ``body`` is an atom or a tuple of (TRep, TRep) pairs.  Equality,
+    hashing, pickle and deepcopy take trees of any depth."""
 
     __slots__ = ()
 
@@ -90,32 +94,65 @@ class TRep(FRep):
         return True
 
     def __hash__(self):
-        # one post-order pass over the distinct nodes, each hashed once from
-        # its children's hashes, kept by id for this call only
-        hashed, todo = {}, [(self, False)]
-        while todo:
-            t, kids_done = todo.pop()
-            if id(t) in hashed:
-                continue
-            body = t.body
-            if kids_done:  # a pair form, hashed as a tuple of its children's hashes
-                hashed[id(t)] = hash((t.base, tuple([(hashed[id(e)], hashed[id(c)]) for e, c in body])))
-            elif not _is_pair_form(body):
-                hashed[id(t)] = hash((t.base, body))
-            else:
-                todo.append((t, True))
-                todo += [(x, False) for pair in body for x in pair if id(x) not in hashed]
+        # each distinct node hashed once from its children's hashes, kept by
+        # id for this call only; a pair form hashes as a tuple of those
+        hashed = {}
+        for t, kids in _post_order(self):
+            body = t.body if kids is None else tuple([(hashed[id(e)], hashed[id(c)]) for e, c in kids])
+            hashed[id(t)] = hash((t.base, body))
         return hashed[id(self)]
 
+    def __reduce__(self):
+        # the fields would pickle and deepcopy once per level; instead a flat
+        # post-order list of the distinct nodes, each pair form naming its
+        # children by their places in the list.  Rebuilt through __init__
+        at, flat = {}, []
+        for t, kids in _post_order(self):
+            at[id(t)] = len(flat)
+            if kids is None:
+                flat.append((t.base, t.body, None))
+            else:
+                flat.append((t.base, None, [(at[id(e)], at[id(c)]) for e, c in kids]))
+        return _tree, (flat,)
 
-def _is_pair_form(body) -> bool:
-    # the shape of a hereditary pair form: a non-empty tuple of (TRep, TRep)
+
+def _tree(flat: list) -> TRep:
+    # the tree TRep.__reduce__ flattened, equal sub-trees shared as there
+    nodes = []
+    for base, body, kids in flat:
+        nodes.append(TRep(base, body if kids is None else tuple([(nodes[e], nodes[c]) for e, c in kids])))
+    return nodes[-1]
+
+
+def _post_order(t: TRep) -> list:
+    # the distinct nodes of tree t by id, each after its children, as
+    # (node, its pairs) for a pair form and (node, None) for anything else
+    done, order, todo = set(), [], [(t, False)]
+    while todo:
+        s, kids_done = todo.pop()
+        if id(s) in done:
+            continue
+        body = s.body
+        if kids_done or _pair_form_fault(body, s.base):
+            done.add(id(s))
+            order.append((s, body if kids_done else None))
+        else:
+            todo.append((s, True))
+            todo += [(x, False) for pair in body for x in pair if id(x) not in done]
+    return order
+
+
+def _pair_form_fault(body, base: int) -> str:
+    # what keeps body from being a hereditary pair form at base, a non-empty
+    # tuple of (TRep, TRep) pairs whose nodes all carry that base; "" if nothing
     if type(body) is not tuple or not body:
-        return False
+        return "pair list must be " + ("non-empty" if body == () else "a tuple of (TRep, TRep) pairs")
     for p in body:  # a loop, not all() over a generator: decode_total runs this at every node
         if type(p) is not tuple or len(p) != 2 or p[0].__class__ is not TRep or p[1].__class__ is not TRep:
-            return False
-    return True
+            return "pair list must be a tuple of (TRep, TRep) pairs"
+        if not p[0].base == p[1].base == base:
+            return f"a node of base {base} holds sub-trees of bases {p[0].base} and {p[1].base}"
+    return ""
 
 
 class ValidationReport(Record):
@@ -162,11 +199,24 @@ def _pairs(x: int, k: int) -> Pairs:
     return tuple(pairs)
 
 
+_new, _set_base, _set_body, _set_shaped = object.__new__, FRep.base.__set__, FRep.body.__set__, FRep._shaped.__set__
+
+
+def _built(cls: type[FRep], base: int, body, shaped: bool) -> FRep:
+    # the library's one builder of reps: a base already checked, so no
+    # __init__.  Only encode passes shaped=True
+    r = _new(cls)
+    _set_base(r, base)
+    _set_body(r, body)
+    _set_shaped(r, shaped)
+    return r
+
+
 def encode(x: int, k: int) -> FRep:
     """The unique representation of x with base k (greedy tower search)."""
     check_nat("base", k, 2)
     check_nat("value", x)
-    return FRep(k, x if x < k else _pairs(x, k))
+    return _built(FRep, k, x if x < k else _pairs(x, k), True)
 
 
 def encode_pairs(x: int, k: int) -> Pairs:
@@ -211,10 +261,12 @@ def decode(r: FRep, cap: int) -> BoundedNat:
 
     Requires the shape invariants (atom below base, strictly decreasing
     exponents); the deeper canonicity constraints are ``validate``'s job.
+    They are checked on every call, except on a rep that ``encode`` built.
     A cap that is not a non-negative integer raises ValueError.
     """
     check_nat("cap", cap)
-    _check_shape(r)
+    if not getattr(r, "_shaped", False):
+        _check_shape(r)
     v = r.body
     if isinstance(v, int):  # r.is_atom
         return Exact(v) if v <= cap else ExceedsCap(cap)
@@ -346,7 +398,7 @@ def to_total(x: int, k: int) -> TRep:
                 todo += e, c
     built = {}
     for v in sorted(pairs):
-        built[v] = TRep(k, tuple((built[e], built[c]) for e, c in pairs[v]) if v >= k else v)
+        built[v] = _built(TRep, k, tuple([(built[e], built[c]) for e, c in pairs[v]]) if v >= k else v, False)
     return built[x]
 
 
@@ -356,8 +408,8 @@ def _decode_total(t: TRep, cap: int) -> int | None:
         if type(body) is not int or not 0 <= body < t.base:
             _check_shape(t)  # raises
         return body if body <= cap else None
-    if not _is_pair_form(body):  # checked as the walk reaches each node
-        raise RepError("pair list must be " + ("non-empty" if body == () else "a tuple of (TRep, TRep) pairs"))
+    if fault := _pair_form_fault(body, t.base):  # checked as the walk reaches each node
+        raise RepError(fault)
     return fold(_decoded_pairs(body, cap), t.base, cap)
 
 

@@ -1,11 +1,14 @@
 """Codec tests: round-trips, canonicity against the encode oracle, order, shifts."""
 
+import copy
 import itertools
 import json
+import pickle
 import sys
 
 import pytest
 
+from grzseq import frep
 from grzseq.frep import (
     REP_NESTING_LIMIT,
     FRep,
@@ -375,6 +378,77 @@ def test_validate_reports_what_decode_rejects(body):
 
 
 # ---------------------------------------------------------------------------
+# The shape mark: decode checks the shape of every rep but those encode built
+
+
+def counting_shape_checks(monkeypatch):
+    """The reps frep._check_shape is called on from now on, in order."""
+    calls, check = [], frep._check_shape
+    monkeypatch.setattr(frep, "_check_shape", lambda r: calls.append(r) or check(r))
+    return calls
+
+
+def test_decode_checks_a_hand_built_rep_on_every_call(monkeypatch):
+    calls = counting_shape_checks(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(RepError, match="^exponents not strictly decreasing at 1$"):
+            decode(FRep(2, ((0, 1), (1, 1))), 9)
+    r = encode(9, 2)
+    h = FRep(2, r.body)  # equal to the encoded rep, and still checked
+    assert h == r
+    calls.clear()
+    assert decode(r, 9) == decode(r, 9) == Exact(9) and calls == []
+    assert decode(h, 9) == decode(h, 9) == Exact(9) and calls == [h, h]
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_encoded_hand_built_and_copied_reps_agree(monkeypatch, k):
+    calls = counting_shape_checks(monkeypatch)
+    for x in [*range(30), 10**6 + 7, 10**80 + 3]:
+        r = encode(x, k)
+        for s in (FRep(k, r.body), copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            calls.clear()
+            assert s == r and hash(s) == hash(r) and repr(s) == repr(r)
+            assert pickle.dumps(s) == pickle.dumps(r)  # the mark is not pickled
+            for cap in (x, max(x - 1, 0)):
+                assert decode(s, cap) == decode(r, cap)
+            assert calls == [s, s]  # copies are unmarked, so checked on each call
+            match r:
+                case FRep(base, body):
+                    assert (base, body) == (k, s.body)
+
+
+def test_a_rep_with_its_mark_unset_decodes_as_an_unmarked_one():
+    def bare(base, body):  # built without __init__, its mark slot never set
+        r = object.__new__(FRep)
+        object.__setattr__(r, "base", base)
+        object.__setattr__(r, "body", body)
+        return r
+
+    assert decode(bare(2, ((2, 1), (0, 1))), 9) == Exact(9)
+    with pytest.raises(RepError, match="^exponents not strictly decreasing at 1$"):
+        decode(bare(2, ((0, 1), (1, 1))), 9)
+
+
+def test_validate_the_readers_and_a_bad_atom_behave_as_before(monkeypatch):
+    r = FRep(2, -1)  # constructs, and is refused where it is used
+    assert r.body == -1
+    with pytest.raises(RepError, match=r"^atom value -1 not in \[0, base 2\)$"):
+        decode(r, 9)
+    assert validate(r) == ValidationReport(False, ("atom value -1 not in [0, base 2)",))
+    calls = counting_shape_checks(monkeypatch)
+    r = encode(9, 2)
+    assert validate(r).ok and calls == [r]  # validate checks a marked rep too
+    # the readers do not enforce falling exponents, so what they build is checked
+    for r in (parse_rep("[(0,1),(1,1)]_2"), rep_from_json('{"base": "2", "pairs": [["0", "1"], ["1", "1"]]}')):
+        with pytest.raises(RepError, match="^exponents not strictly decreasing at 1$"):
+            decode(r, 100)
+        assert not validate(r).ok
+    with pytest.raises(RepError, match="must hold non-negative integers$"):
+        decode(to_total(9, 2), 100)  # a hereditary pair form breaks the flat rule
+
+
+# ---------------------------------------------------------------------------
 # Hereditary representation
 
 
@@ -449,6 +523,15 @@ def test_decode_total_rejects_a_pair_form_that_is_not_pairs_of_treps(body):
             decode_total(t, 100)
     # still lazy: the count of an over-cap exponent is not reached
     assert decode_total(TRep(2, ((to_total(10**6, 2), TRep(2, body)),)), 100) == ExceedsCap(100)
+
+
+def test_decode_total_rejects_a_sub_tree_of_another_base():
+    # [(2,1)]_2 with the exponent atom 2 at base 3 once decoded as 8
+    one = TRep(2, 1)
+    nested = TRep(2, ((TRep(2, ((TRep(3, 1), one),)), one),))
+    for t in (TRep(2, ((TRep(3, 2), one),)), TRep(2, ((one, TRep(3, 1)),)), nested):
+        with pytest.raises(RepError, match="^a node of base 2 holds sub-trees of bases [23] and [23]$"):
+            decode_total(t, 100)
 
 
 def test_decode_total_rejects_exponents_that_do_not_fall():
@@ -593,6 +676,29 @@ def test_trep_eq_and_hash_take_any_depth_from_any_caller(digits, k):
     shallow = a == b, hash(a)
     deep = at_depth(800, lambda: (b == a, hash(b)))
     assert shallow == (True, deep[1]) and deep[0]
+
+
+def distinct_nodes(t):
+    seen, todo = {}, [t]
+    while todo:
+        s = todo.pop()
+        if id(s) not in seen:
+            seen[id(s)] = s
+            if type(s.body) is tuple:
+                todo += [x for pair in s.body if type(pair) is tuple for x in pair if isinstance(x, TRep)]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("extra", [0, 800])
+def test_pickle_and_deepcopy_take_a_tree_of_any_depth(extra):
+    t = to_total(10**1000 + 7, 2)
+    copies = at_depth(extra, lambda: [pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)])
+    for u in copies:
+        assert u is not t and u == t and hash(u) == hash(t)
+        nodes = distinct_nodes(u)  # equal sub-trees stay shared
+        assert len(nodes) == len(distinct_nodes(t)) and not any(getattr(s, "_shaped", False) for s in nodes)
+    for s in odd_treps() + [TRep(2, ((TRep(3, 2), TRep(2, 1)),))]:  # hand-built shapes too
+        assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
 
 
 def test_repr_prints_a_tree_as_deep_as_before():

@@ -117,9 +117,12 @@ def test_o_k_path_builds_no_frep(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("an FRep was built")
 
+    # reps are built through __init__ or through the library's one builder
     monkeypatch.setattr(frep.FRep, "__init__", refuse)
-    with pytest.raises(AssertionError):
-        encode(9, 2)  # the patch holds
+    monkeypatch.setattr(frep, "_built", refuse)
+    for build in (lambda: frep.FRep(2, 1), lambda: encode(9, 2), lambda: frep.to_total(9, 2)):
+        with pytest.raises(AssertionError):
+            build()  # the patch holds
     for k in (2, 3):
         for x in (k, k + 1, 100, 2**70 + 5):
             a = o_map(x, k)
