@@ -233,10 +233,17 @@ def encode_pairs(x: int, k: int) -> Pairs:
 # Decoding
 
 
+def _check_rep(name: str, r) -> None:
+    if not isinstance(r, FRep):
+        raise ValueError(f"argument {name} must be an FRep or TRep, got {r!r}")
+
+
 def _check_shape(r: FRep) -> None:
     # the one shape rule of decode, validate and decode_total's atoms: an
     # atom in [0, base), or a non-empty tuple of pairs of non-negative ints
-    # with strictly decreasing exponents.  Anything else is a RepError.
+    # with strictly decreasing exponents.  Anything else is a RepError, and
+    # an argument that is no rep at all a ValueError
+    _check_rep("r", r)
     body = r.body
     if isinstance(body, int):  # r.is_atom, without the property call
         if isinstance(body, bool) or not 0 <= body < r.base:
@@ -262,7 +269,8 @@ def decode(r: FRep, cap: int) -> BoundedNat:
     Requires the shape invariants (atom below base, strictly decreasing
     exponents); the deeper canonicity constraints are ``validate``'s job.
     They are checked on every call, except on a rep that ``encode`` built.
-    A cap that is not a non-negative integer raises ValueError.
+    A cap that is not a non-negative integer, or an r that is no rep, raises
+    ValueError.
     """
     check_nat("cap", cap)
     if not getattr(r, "_shaped", False):
@@ -285,8 +293,14 @@ _LT, _EQ, _GT = Ordering.LT, Ordering.EQ, Ordering.GT
 
 
 def compare(a: FRep, b: FRep) -> Ordering:
-    if a.base != b.base:
-        raise ValueError(f"cannot compare representations with bases {a.base} and {b.base}")
+    try:
+        ka, kb = a.base, b.base
+    except AttributeError:  # checked only here, so a rep pays nothing for it
+        _check_rep("a", a)
+        _check_rep("b", b)
+        raise
+    if ka != kb:
+        raise ValueError(f"cannot compare representations with bases {ka} and {kb}")
     pa, pb = a.body, b.body
     if pa == pb:
         return _EQ
@@ -359,7 +373,7 @@ def validate(r: FRep) -> ValidationReport:
     """
     try:
         _check_shape(r)
-    except RepError as err:
+    except ValueError as err:  # a RepError, or no rep at all
         return ValidationReport(False, (str(err),))
     pairs = () if r.is_atom else r.body
     violations: list[str] = []
@@ -440,8 +454,9 @@ def _decoded_pairs(pairs: tuple, cap: int):
 
 def decode_total(t: TRep, cap: int) -> BoundedNat:
     """Fold a hereditary tree back into a number, cutoff-aware.  A cap that is
-    not a non-negative integer raises ValueError."""
+    not a non-negative integer, or a t that is no rep, raises ValueError."""
     check_nat("cap", cap)
+    _check_rep("t", t)
     v = _decode_total(t, cap)
     return Exact(v) if v is not None else ExceedsCap(cap)
 

@@ -126,13 +126,28 @@ ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
+# the slots' own setters, bound once: each is about a third cheaper than
+# object.__setattr__ by name
+_new, _set_terms, _set_key = object.__new__, Ordinal.terms.__set__, Ordinal.key.__set__
+
+
 def _ordinal(terms: tuple, key: tuple) -> Ordinal:
     # an Ordinal without the constructor's checks, for the builders that have
     # made sure that terms are in normal form and that key is theirs
-    a = object.__new__(Ordinal)
-    object.__setattr__(a, "terms", terms)
-    object.__setattr__(a, "key", key)
+    a = _new(Ordinal)
+    _set_terms(a, terms)
+    _set_key(a, key)
     return a
+
+
+def _sum(terms: tuple) -> Ordinal:
+    # an Ordinal of terms already in normal form, its key joined from theirs
+    key = [OPEN]
+    for e, c in terms:
+        key += e.key
+        key.append(c)
+    key.append(CLOSE)
+    return _ordinal(terms, tuple(key))
 
 
 def _finite(n: int) -> Ordinal:
@@ -154,7 +169,8 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     """w^e * coeff as a single-term ordinal."""
     if not isinstance(e, Ordinal):
         raise ValueError(f"exponent {e!r} is not an Ordinal")
-    check_nat("coefficient", coeff, 1)
+    if type(coeff) is not int or coeff < 1:  # an exact positive int skips the call
+        check_nat("coefficient", coeff, 1)
     if type(e) is _Tower or len(e.key) > _EAGER_EXPONENT_KEY:
         return _Tower(((e, coeff),))
     return _ordinal(((e, coeff),), (OPEN, *e.key, coeff, CLOSE))
@@ -177,14 +193,24 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not b.terms:
         return a
     lead = b.terms[0][0]
-    if a.terms and a.terms[-1][0].key > lead.key:  # nothing absorbed
-        return _ordinal(a.terms + b.terms, a.key[:-1] + b.key[1:])
-    i = 0
-    while i < len(a.terms) and a.terms[i][0] > lead:
+    lk, terms = lead.key, a.terms
+    if terms and terms[-1][0].key > lk:  # nothing absorbed
+        return _ordinal(terms + b.terms, a.key[:-1] + b.key[1:])
+    i = 0  # exponents compared by key, as the operators would, without their calls
+    while i < len(terms) and terms[i][0].key > lk:
         i += 1
-    if i < len(a.terms) and a.terms[i][0] == lead:
-        return Ordinal(a.terms[:i] + ((lead, a.terms[i][1] + b.terms[0][1]),) + b.terms[1:])
-    return Ordinal(a.terms[:i] + b.terms) if i else b  # i = 0: all of a absorbed
+    if i < len(terms) and terms[i][0].key == lk:
+        return _sum(terms[:i] + ((lead, terms[i][1] + b.terms[0][1]),) + b.terms[1:])
+    return _sum(terms[:i] + b.terms) if i else b  # i = 0: all of a absorbed
+
+
+def add_each(a: Ordinal, bs: Iterable[Ordinal]) -> list[Ordinal]:
+    """[add(a, b) for b in bs], with a's terms and key read once: a block of
+    the slowdown, one lifted entry plus each of its ranks."""
+    terms, head = a.terms, a.key[:-1]
+    last = terms[-1][0].key if terms else ()  # () is below every key: nothing to join
+    return [_ordinal(terms + b.terms, head + b.key[1:]) if b.terms and last > b.terms[0][0].key else add(a, b)
+            for b in bs]
 
 
 def coeff_measure(a: Ordinal) -> int:
@@ -195,13 +221,7 @@ def coeff_measure(a: Ordinal) -> int:
 def mul_omega_omega(a: Ordinal) -> Ordinal:
     """w^w * a: every exponent gains a leading w (order-preserving)."""
     # e -> w + e is strictly increasing, so the exponents still fall
-    terms = tuple((add(OMEGA, e), c) for e, c in a.terms)
-    key = [OPEN]
-    for e, c in terms:
-        key += e.key
-        key.append(c)
-    key.append(CLOSE)
-    return _ordinal(terms, tuple(key))
+    return _sum(tuple((add(OMEGA, e), c) for e, c in a.terms))
 
 
 def omega_tower(n: int) -> Ordinal:
@@ -236,8 +256,10 @@ def left_subtract_omega(e: Ordinal) -> Ordinal:
 # Neither recurses, so text of any depth prints and parses.
 #
 # A chain file holds one ordinal per line; blank lines and '#' comments are
-# ignored.  Reading or writing one keeps a table for the call, so a sub-term
-# the lines share is built, or printed, once; one ordinal is the one-line case.
+# ignored.  Reading or writing one keeps a table for the call: the reader's
+# builds each sub-term the lines share once, and the writer's prints the
+# head "w^(E)*" of each distinct exponent once.  One ordinal is the one-line
+# case.
 
 
 def _key_text(key: tuple) -> str:
@@ -258,28 +280,19 @@ def _key_text(key: tuple) -> str:
     return "".join(out).replace("w^()*", "")
 
 
-def _print(a: Ordinal, texts: dict) -> str:
-    # the text of each distinct term, and of each distinct infinite exponent,
-    # made once per table; the table keeps each object beside its text, so
-    # no other object takes its id
+def _print(a: Ordinal, heads: dict) -> str:
+    # a term prints as its exponent's head ("" for exponent 0) and then its
+    # coefficient.  Heads are keyed by the exponent's id, as the rank terms
+    # of slowdown entries are fresh tuples over shared exponents; the table
+    # keeps each exponent beside its head, so no other object takes its id
     if not a.terms:
         return "0"
     out = []
-    for t in a.terms:
-        seen = texts.get(id(t))
-        if seen is None:
-            e, c = t
-            if not e.terms:
-                text = str(c)
-            elif len(e.key) == 5:  # OPEN OPEN CLOSE n CLOSE: a finite exponent n
-                text = f"w^({e.key[3]})*{c}"
-            else:
-                es = texts.get(id(e))
-                if es is None:
-                    es = texts[id(e)] = (e, _key_text(e.key))
-                text = f"w^({es[1]})*{c}"
-            seen = texts[id(t)] = (t, text)
-        out.append(seen[1])
+    for e, c in a.terms:
+        head = heads.get(id(e))
+        if head is None:
+            head = heads[id(e)] = (e, f"w^({_key_text(e.key)})*" if e.terms else "")
+        out.append(f"{head[1]}{c}")
     return "+".join(out)
 
 
@@ -288,8 +301,8 @@ def print_ordinal(a: Ordinal) -> str:
 
 
 def chain_to_text(entries: Iterable[Ordinal]) -> str:
-    texts = {}
-    return "\n".join(_print(a, texts) for a in entries) + "\n"
+    heads = {}
+    return "\n".join(_print(a, heads) for a in entries) + "\n"
 
 
 def _normal(terms: list, shared: dict) -> Ordinal:
@@ -322,7 +335,7 @@ def _normal(terms: list, shared: dict) -> Ordinal:
         known = tuple([(id(e), c) for e, c in terms])
     a = shared.get(known)
     if a is None:
-        a = shared[known] = omega_pow(*terms[0]) if len(terms) == 1 else Ordinal(tuple(terms))
+        a = shared[known] = omega_pow(*terms[0]) if len(terms) == 1 else _sum(tuple(terms))
     return a
 
 

@@ -27,7 +27,7 @@ from .order import Record, check_nat
 from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
     ONE,
     Ordinal,
-    add,
+    add_each,
     chain_to_text,
     coeff_measure,
     mul_omega_omega,
@@ -117,21 +117,20 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
         start += measures[k]  # C(a_0) + ... + C(a_k)
         # w^w * a_k + rank: every exponent of w^w * a_k is at least w and
         # every exponent of the rank is finite, so add joins the two keys
-        lifted = mul_omega_omega(alphas[k])
         lo = max(0, ell - start)
-        entries.extend(add(lifted, r) for r in g_window(n, max(2, k), lo, max(0, measures[k + 1] - lo)))
+        entries += add_each(mul_omega_omega(alphas[k]), g_window(n, max(2, k), lo, max(0, measures[k + 1] - lo)))
     return SlowChain(tuple(entries), ell, height, note)
 
 
 def verify_slow(s: SlowChain | Iterable[Ordinal]) -> SlowReport:
     """Check strict descent and the coefficient bound C(entry_i) <= i + 1."""
-    entries = tuple(s.entries) if isinstance(s, SlowChain) else tuple(s)
-    violations: list[str] = []
-    for i, (a, b) in enumerate(zip(entries, entries[1:])):
-        if not b < a:
-            violations.append(f"entries {i} and {i + 1} do not descend")
-    for i, a in enumerate(entries):
-        m = coeff_measure(a)
+    # each entry's key read once: keys order as the entries do, and the
+    # largest token of a key is its coefficient measure C (as coeff_measure)
+    keys = [a.key for a in (s.entries if isinstance(s, SlowChain) else s)]
+    violations = [f"entries {i} and {i + 1} do not descend"
+                  for i, (a, b) in enumerate(zip(keys, keys[1:])) if not b < a]
+    for i, key in enumerate(keys):
+        m = max(key)
         if m > i + 1:
             violations.append(f"entry {i} has coefficient measure {m} > {i + 1}")
     return SlowReport(not violations, tuple(violations))

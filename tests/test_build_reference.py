@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from grzseq import ordinals
 from grzseq.correspond import o_map
 from grzseq.ordinals import (
     OMEGA,
@@ -15,6 +16,7 @@ from grzseq.ordinals import (
     ZERO,
     Ordinal,
     add,
+    add_each,
     chain_to_text,
     coeff_measure,
     from_int,
@@ -314,3 +316,174 @@ def test_block_entries_share_their_lifted_terms():
     firsts = [a.terms[0] for a in tail]
     assert len({id(t) for t in firsts}) < len(firsts)
     assert chain_to_text(entries) == old_chain_to_text(entries)
+
+
+# ---------------------------------------------------------------------------
+# The bodies before entries were built a block at a time: add through the
+# operators, _normal through the validating constructor, and a printer that
+# kept the text of each term tuple
+
+
+def parent_add(a, b):
+    if not b.terms:
+        return a
+    lead = b.terms[0][0]
+    if a.terms and a.terms[-1][0].key > lead.key:  # nothing absorbed
+        return Ordinal(a.terms + b.terms)
+    i = 0
+    while i < len(a.terms) and a.terms[i][0] > lead:
+        i += 1
+    if i < len(a.terms) and a.terms[i][0] == lead:
+        return Ordinal(a.terms[:i] + ((lead, a.terms[i][1] + b.terms[0][1]),) + b.terms[1:])
+    return Ordinal(a.terms[:i] + b.terms) if i else b
+
+
+def parent_normal(terms, shared):
+    if len(terms) > 1:
+        out = []
+        for e, c in reversed(terms):
+            if out:
+                lead, lc = out[-1]
+                if e.key < lead.key:
+                    continue
+                if e.key == lead.key:
+                    out[-1] = (lead, lc + c)
+                    continue
+            out.append((e, c))
+        out.reverse()
+        terms = out
+    if len(terms) == 1:
+        e, c = terms[0]
+        known = id(e) if c == 1 else (id(e), c)
+    else:
+        known = tuple([(id(e), c) for e, c in terms])
+    a = shared.get(known)
+    if a is None:
+        a = shared[known] = omega_pow(*terms[0]) if len(terms) == 1 else Ordinal(tuple(terms))
+    return a
+
+
+def parent_print(a, texts):
+    if not a.terms:
+        return "0"
+    out = []
+    for t in a.terms:
+        seen = texts.get(id(t))
+        if seen is None:
+            e, c = t
+            if not e.terms:
+                text = str(c)
+            elif len(e.key) == 5:
+                text = f"w^({e.key[3]})*{c}"
+            else:
+                es = texts.get(id(e))
+                if es is None:
+                    es = texts[id(e)] = (e, ref_print_ordinal(e))
+                text = f"w^({es[1]})*{c}"
+            seen = texts[id(t)] = (t, text)
+        out.append(seen[1])
+    return "+".join(out)
+
+
+def parent_chain_to_text(entries):
+    texts = {}
+    return "\n".join(parent_print(a, texts) for a in entries) + "\n"
+
+
+def parent_parse_chain_text(text, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(ordinals, "_normal", parent_normal)
+        return parse_chain_text(text)
+
+
+def descent_chain(seed, length):
+    """A chain as the descent_chains benchmark draws them: ``length`` - 1
+    distinct ordinals of at most three terms nested two deep, coefficients
+    at most 8 and the leading one 8, falling, then 0."""
+    rng = random.Random(seed)
+
+    def draw(depth):
+        exps = {from_int(rng.randint(0, 6)) if depth == 0 or rng.random() < 0.4 else draw(depth - 1)
+                for _ in range(rng.randint(1, 3))}
+        return Ordinal(tuple((e, rng.randint(1, 8)) for e in sorted(exps, reverse=True)))
+
+    alphas = set()
+    while len(alphas) < length - 1:
+        (e, _), *rest = draw(2).terms
+        alphas.add(Ordinal(((e, 8), *rest)))
+    return sorted(alphas, reverse=True) + [ZERO]
+
+
+DESCENT = [(descent_chain(seed, length), seed % 4) for seed, length in enumerate((20, 30, 40, 60))]
+
+
+def parent_entries(alphas, n, c):
+    out = compress(alphas, n, c)
+    measures = [coeff_measure(a) for a in alphas]
+    entries, start = list(out.entries[:out.tower_prefix_len]), 0
+    for k in range(len(alphas) - 1):
+        start += measures[k]
+        lifted = mul_omega_omega(alphas[k])
+        lo = max(0, out.tower_prefix_len - start)
+        entries += [parent_add(lifted, slow_g(n, k, x)) for x in range(lo, measures[k + 1])]
+    return entries
+
+
+def test_add_each_is_add_on_each():
+    terms = small_cnf()
+    for a in terms:
+        got = add_each(a, terms)
+        want = [parent_add(a, b) for b in terms]
+        assert all(same(x, y) for x, y in zip(got, want)) and len(got) == len(want), a
+        # an absorbed left summand still hands back the right one itself
+        assert all(x is b for x, b, y in zip(got, terms, want) if y is b)
+    assert add_each(OMEGA, []) == [] and add_each(OMEGA, iter([ONE]))[0] == parse_ordinal("w+1")
+
+
+@pytest.mark.parametrize("chain", range(len(DESCENT)))
+def test_descent_chains_build_read_and_print_as_before(chain, monkeypatch):
+    alphas, c = DESCENT[chain]
+    text = "# descending chain\n\n" + parent_chain_to_text(alphas)
+    read, before = parse_chain_text(text), parent_parse_chain_text(text, monkeypatch)
+    assert len(read) == len(before) == len(alphas)
+    assert all(same(a, b) and same(a, x) for a, b, x in zip(read, before, alphas))
+    out = compress(read, 2, c)
+    want = parent_entries(read, 2, c)
+    assert len(out.entries) == len(want) and all(same(a, b) for a, b in zip(out.entries, want))
+    written = chain_to_text(out.entries)
+    assert first_difference(written, parent_chain_to_text(want)) is None
+    assert first_difference(chain_to_text(read), text.split("\n", 2)[2]) is None
+    again = parse_chain_text(written)
+    assert all(same(a, b) for a, b in zip(again, parent_parse_chain_text(written, monkeypatch)))
+
+
+def test_reader_still_normalises_sums(monkeypatch):
+    sums = {
+        "1+w": "w^(1)*1",
+        "w*2+w*3": "w^(1)*5",
+        "w^2+w^(w)": "w^(w^(1)*1)*1",
+        "w*0+3": "3",
+        "w^(2)*0": "0",
+        "w^(w*0+2)*1+w^(0)*0+4": "w^(2)*1+4",
+        "w^(3)+w^(3)*2+w+1+w^(3)": "w^(3)*4",
+        "w^(w^(2)+w^(2))*2+w^(w^(2)*2)": "w^(w^(2)*2)*3",
+    }
+    text = "\n".join(sums) + "\n"
+    read = parse_chain_text(text)
+    before = parent_parse_chain_text(text, monkeypatch)
+    assert [print_ordinal(a) for a in read] == list(sums.values())
+    assert all(same(a, b) for a, b in zip(read, before))
+
+
+def test_equal_sub_terms_of_a_file_are_one_object(monkeypatch):
+    alphas, _ = DESCENT[-1]
+    text = chain_to_text(alphas)
+    for read in (parse_chain_text(text), parent_parse_chain_text(text, monkeypatch)):
+        seen = {}  # key -> the one object of that value, over every exponent of the file
+        todo = list(read)
+        while todo:
+            a = todo.pop()
+            for e, _ in a.terms:
+                assert seen.setdefault(e.key, e) is e
+                todo.append(e)
+        assert len(seen) > 20

@@ -377,6 +377,24 @@ def test_validate_reports_what_decode_rejects(body):
     assert validate(r) == ValidationReport(False, (str(err.value),))
 
 
+@pytest.mark.parametrize("arg", ["x", 5, None, (2, ((1, 1),)), [2, 1]], ids=repr)
+def test_an_argument_that_is_no_rep_is_refused(monkeypatch, arg):
+    # a ValueError naming the argument, as correspond's functions give for a
+    # non-ordinal; validate reports it as its one violation
+    want = "argument {} must be an FRep or TRep, got " + repr(arg)
+    r = encode(3, 2)
+    for call, name in [(lambda: decode(arg, 5), "r"), (lambda: decode_total(arg, 5), "t"),
+                       (lambda: compare(arg, r), "a"), (lambda: compare(r, arg), "b")]:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError and str(err.value) == want.format(name)
+    assert validate(arg) == ValidationReport(False, (want.format("r"),))
+    # a rep that encode built is not checked at all, in decode or in compare
+    calls = []
+    monkeypatch.setattr(frep, "_check_rep", lambda *a: calls.append(a))
+    assert decode(r, 5) == Exact(3) and compare(r, encode(4, 2)) == Ordering.LT and calls == []
+
+
 # ---------------------------------------------------------------------------
 # The shape mark: decode checks the shape of every rep but those encode built
 

@@ -1,5 +1,6 @@
 """Properties of the codec on generated inputs: round trips, order, and the
-soundness of every cutoff against a naive evaluator with a larger budget.
+soundness of every cutoff against a naive evaluator with a larger budget;
+and the round trip of a compressed chain through its text.
 
 Deterministic: each test runs derandomized, with a fixed number of examples
 and no example database.
@@ -12,6 +13,8 @@ from naive_eval import naive_iter
 from grzseq.frep import FRep, TRep, compare, decode, decode_total, encode, shift_total_value, shift_value, to_total
 from grzseq.grzeval import Exact, ExceedsCap, climb, fold
 from grzseq.order import Ordering
+from grzseq.ordinals import ZERO, Ordinal, from_int
+from grzseq.slowdown import chain_to_text, compress, parse_chain_text, verify_slow
 
 
 def derandomized(examples):
@@ -136,3 +139,32 @@ def test_decode_total_cutoffs_are_sound(k, exponents, counts, cap):
     pairs = list(zip(sorted(exponents, reverse=True), counts))
     t = TRep(k, tuple((to_total(e, k), to_total(c, k)) for e, c in pairs))
     assert confirmed(decode_total(t, cap), cap, naive_fold(pairs, k, budget_above(cap)))
+
+
+# ---------------------------------------------------------------------------
+# Chain text
+
+
+def cnf(depth):
+    """Ordinals of at most three terms, exponents nested depth deep, every
+    coefficient (hence C) at most 8, so F_2 bounds any chain of them."""
+    exponent = st.integers(0, 6).map(from_int)
+    if depth:
+        exponent = st.one_of(exponent, cnf(depth - 1))
+    return st.dictionaries(exponent, st.integers(1, 8), min_size=1, max_size=3).map(
+        lambda terms: Ordinal(tuple(sorted(terms.items(), key=lambda t: t[0], reverse=True))))
+
+
+chains = st.tuples(st.lists(cnf(2), min_size=1, max_size=8, unique=True), st.booleans()).map(
+    lambda c: sorted(c[0], reverse=True) + [ZERO] * c[1])
+
+
+@derandomized(60)
+@given(chains, st.integers(0, 6))
+def test_compressed_chain_text_reads_back(alphas, c):
+    out = compress(alphas, 2, c)
+    assert verify_slow(out).ok
+    text = chain_to_text(out.entries)
+    read = parse_chain_text(text)
+    assert read == list(out.entries)
+    assert [a.terms for a in read] == [a.terms for a in out.entries] and chain_to_text(read) == text

@@ -20,6 +20,7 @@ from grzseq.ordinals import (
 from grzseq.order import Ordering
 from grzseq.slowdown import (
     SlowChain,
+    SlowReport,
     chain_to_text,
     compress,
     parse_chain_text,
@@ -316,6 +317,50 @@ def test_verify_slow_negative_controls():
 
 def test_verify_slow_accepts_plain_iterables():
     assert verify_slow([omega_tower(3), omega_tower(2), O("w*2"), O("3")]).ok
+
+
+def _parent_verify_slow(s):
+    # verify_slow before it read each key once: the operators and coeff_measure
+    entries = tuple(s.entries) if isinstance(s, SlowChain) else tuple(s)
+    violations = []
+    for i, (a, b) in enumerate(zip(entries, entries[1:])):
+        if not b < a:
+            violations.append(f"entries {i} and {i + 1} do not descend")
+    for i, a in enumerate(entries):
+        m = coeff_measure(a)
+        if m > i + 1:
+            violations.append(f"entry {i} has coefficient measure {m} > {i + 1}")
+    return SlowReport(not violations, tuple(violations))
+
+
+def _broken(entries):
+    """Hand-broken copies of a slow chain of at least two entries, each
+    paired with a name."""
+    e = list(entries)
+    mid = len(e) // 2
+    yield "as emitted", e
+    yield "swapped", e[:mid - 1] + [e[mid], e[mid - 1]] + e[mid + 1:]
+    yield "repeated", e[:mid] + [e[mid]] + e[mid:]
+    yield "reversed", e[::-1]
+    yield "zero inside", e[:mid] + [ZERO] + e[mid:]
+    yield "fat head", [add(e[0], from_int(10**6))] + e[1:]
+    yield "fat tail", e + [from_int(len(e) + 5), from_int(3)]
+    yield "rescaled", [mul_omega_omega(a) for a in e[::3]]
+    yield "towers", [omega_tower(h) for h in (3, 4, 2, 2, 1)]
+    yield "empty", []
+
+
+def _random_chain(seed):
+    rng = random.Random(seed)
+    return sorted({_random_ordinal(rng, 2) for _ in range(rng.randint(10, 30))}, reverse=True) + [ZERO]
+
+
+@pytest.mark.parametrize("alphas,n,c", CORPUS + [(_random_chain(seed), 2, seed) for seed in range(3)])
+def test_verify_slow_matches_the_parent_on_broken_chains(alphas, n, c):
+    for name, entries in _broken(compress(alphas, n, c).entries):
+        for arg in (entries, iter(entries), SlowChain(tuple(entries), 0, 0)):
+            assert verify_slow(arg) == _parent_verify_slow(entries), name
+    assert verify_slow(compress(alphas, n, c)).ok
 
 
 # ---------------------------------------------------------------------------
