@@ -21,10 +21,12 @@ by the slowdown construction.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .frep import encode_pairs
-from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, exceeds, fold
+from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, climb, exceeds
 from .order import Record, check_nat
-from .ordinals import ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
+from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
 
 
 class NotInDError(ValueError):
@@ -77,11 +79,19 @@ def o_map(x: int, k: int) -> Ordinal:
     return _image(x, k, False)
 
 
+# the exponent codes w, w+1, ..., w+15, built once: for k <= e < 2k the pairs
+# of e are [(0, e-k)]_k, so code(e) = w + (e-k).  At base 2 every exponent of
+# a value that fits in memory is 2 or 3, so its code is always read here.
+_W_PLUS = tuple(add(OMEGA, from_int(n)) for n in range(16))
+
+
 def _image(x: int, k: int, plus_omega: bool) -> Ordinal:
     # o_k(x), or the exponent code w + o_k(x) when plus_omega, for x >= k.
     # The pairs' exponents strictly fall and code is strictly monotone, so the
     # terms are in normal form as they come: one constructor call per level.
     # The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
+    if plus_omega and x - k < min(k, 16):  # the pairs are [(0, x-k)]: code(x) = w + (x-k)
+        return _W_PLUS[x - k]
     pairs = encode_pairs(x, k)
     terms = []
     for e, c in pairs:
@@ -130,9 +140,10 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
     so an ordinal of any depth decodes.  A finite exponent is read off its
     one (0, v) term; an infinite exponent w + b is entered as b's terms: one
     w less on a leading w^1 term, or the exponent's own terms when its lead
-    absorbs the w.  No ordinal is built.  An exponent is finished, its count
-    checks included, before the next term is read, so the reason reported is
-    that of the first violation in post-order.
+    absorbs the w.  An exponent w + n, n finite, enters no level: its one
+    entry (0, n) gives the value k + n.  No ordinal is built.  An exponent is
+    finished, its count checks included, before the next term is read, so
+    the reason reported is that of the first violation in post-order.
     """
     stack = []  # enclosing levels: (terms, next index, entries, count of the open term)
     terms, i, entries = a.terms, 0, []
@@ -148,8 +159,14 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
                 entries.append((v, c))
                 continue
             lead, lc = et[0]
-            lt = lead.terms
-            if len(lt) == 1 and lt[0][1] == 1 and not lt[0][0].terms:  # lead is 1
+            lt = lead.terms  # not its key: a tower level builds that on first read
+            if len(lt) == 1 and lt[0][1] == 1 and not lt[0][0].terms:  # w^1*lc + ...: peel one w
+                if lc == 1 and (len(et) == 1 or len(et) == 2 and not et[1][0].terms):  # w + n
+                    n = et[1][1] if len(et) == 2 else 0
+                    if n >= k:
+                        raise NotInDError(k, f"count {n} at position 1 not below intermediate base {k}")
+                    entries.append((k + n if k + n <= bound else None, c))
+                    continue
                 et = ((lead, lc - 1),) + et[1:] if lc > 1 else et[1:]
             stack.append((terms, i, entries, c))
             terms, i, entries = et, 0, []
@@ -159,8 +176,9 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
         for p, (v, c) in enumerate(entries, start=1):
             if c >= chain:
                 raise NotInDError(k, f"count {c} at position {p} not below intermediate base {chain}")
-            chain = fold(((v, c),), chain, bound)
-            if chain is None:
+            j, chain = climb(v, chain, bound, c) if v is not None else (-1, None)
+            if j < c:
+                chain = None
                 break  # above bound >= every coefficient of a
         if not stack:
             return entries, chain
@@ -242,21 +260,23 @@ def profile(x: int, n: int, k: int) -> PaddedProfile:
     check_nat("x", x, k)
     if not exceeds(n, 1, k, x):
         raise ValueError(f"x={x} is not below F_{n}({k})")
-    return _profile(x, n, k)
+    j, m = _counts(x, n, k)
+    return PaddedProfile(n=n, base=k, j=tuple(j), m=tuple(m))
 
 
-def _profile(x: int, n: int, k: int) -> PaddedProfile:
-    # profile's body, for arguments already checked
+def _counts(x: int, n: int, k: int) -> tuple[list[int], list[int]]:
+    # the counts j and bases m of profile(x, n, k), for checked arguments and
+    # without the record: g_window flips them for each rank
     j = [0] * n
     for e, c in encode_pairs(x, k):
         assert e < n  # guaranteed by x < F_n(k)
         j[n - e - 1] = c
     m = [k]
     for q in range(1, n):  # m_{q+1} = F_{n-q}^(j_q)(m_q), all values <= x
-        nxt = fold(((n - q, j[q - 1]),), m[-1], x)
-        assert nxt is not None
+        i, nxt = climb(n - q, m[-1], x, j[q - 1])
+        assert i == j[q - 1]
         m.append(nxt)
-    return PaddedProfile(n=n, base=k, j=tuple(j), m=tuple(m))
+    return j, m
 
 
 def flip(p: PaddedProfile) -> tuple[int, ...]:
@@ -293,10 +313,11 @@ def g_window(n: int, k: int, x: int, count: int) -> list[Ordinal]:
         return [from_int(max(0, (k + 1) - y)) for y in range(x, stop)]
     e = from_int(n)
     out = [omega_pow(e, k - y) for y in range(x, min(k, stop))]
+    exps = list(map(from_int, range(n - 1, -1, -1))) if k < stop else ()  # the profile part's: n-1, ..., 0
     for y in range(max(k, x), stop):
         if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y
             out += [ZERO] * (stop - y)
             break
-        fl = flip(_profile(y, n, k))
-        out.append(Ordinal(tuple((from_int(n - q), fl[q - 1]) for q in range(1, n + 1))))
+        j, m = _counts(y, n, k)
+        out.append(Ordinal(tuple(zip(exps, map(sub, m, j)))))  # the flip m_q - j_q
     return out

@@ -41,7 +41,8 @@ class Ordinal(Record):
         for e, c in terms:
             if not isinstance(e, Ordinal):
                 raise ValueError(f"exponent {e!r} is not an Ordinal")
-            check_nat("coefficient", c, 1)
+            if type(c) is not int or c < 1:  # an exact positive int skips the call, as in omega_pow
+                check_nat("coefficient", c, 1)
             ek = e.key
             if prev is not None and prev <= ek:
                 raise ValueError("exponents must be strictly decreasing")

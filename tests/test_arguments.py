@@ -93,3 +93,21 @@ def test_check_nat_messages():
         with pytest.raises(ValueError) as err:
             check_nat("n", v, least)
         assert str(err.value) == want
+
+
+@pytest.mark.parametrize("c", BAD[:-1] + [0])
+def test_the_constructor_checks_a_coefficient_as_check_nat_does(c):
+    # the constructor tests an exact positive int inline and calls check_nat
+    # for anything else, so the message is check_nat's
+    with pytest.raises(ValueError) as err:
+        Ordinal(((ZERO, c),))
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"coefficient must be a positive integer, got {c!r}"
+
+
+def test_the_constructor_accepts_an_int_subclass_coefficient():
+    class Count(int):
+        pass
+
+    a = Ordinal(((ONE, Count(3)), (ZERO, Count(1))))
+    assert a == Ordinal(((ONE, 3), (ZERO, 1))) and a.terms[0][1] == 3

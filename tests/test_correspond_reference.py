@@ -5,7 +5,7 @@ each rule of D_k, plus ordinals of any depth from any stack depth."""
 
 import pytest
 
-from grzseq.correspond import L_inverse, MembershipReport, NotInDError, Q_pred, _image, in_D, o_map
+from grzseq.correspond import L_inverse, MembershipReport, NotInDError, Q_pred, _image, _skeleton, in_D, o_map
 from grzseq.frep import encode
 from grzseq.grzeval import CapExceededError, Exact, ExceedsCap, fold
 from grzseq.ordinals import (
@@ -80,6 +80,13 @@ def ref_in_D(a, k):
 def ref_L_inverse(a, k, cap=CAP):
     _, v = ref_skeleton(a, k, max(cap, ref_bound(a, k)))
     return Exact(v) if v is not None and v <= cap else ExceedsCap(cap)
+
+
+def ref_Q_pred(a, k, cap=CAP):
+    x = ref_L_inverse(a, k, cap)
+    if isinstance(x, ExceedsCap):
+        raise CapExceededError(cap)
+    return ref_o_map(x.value - 1, k)
 
 
 def outcome(f, *args):
@@ -174,6 +181,72 @@ def test_exponent_code_joins_merges_and_absorbs():
             want = add(OMEGA, b)
             assert code.key == want.key and code.terms == want.terms, (e, k)
         assert kinds == {"zero", "join", "merge", "absorb"}
+
+
+def test_shared_exponent_codes_match_across_the_table_edges():
+    # codes of k <= e < k + min(k, 16) come from a table of w, ..., w+15; e = 2k
+    # and e - k = 16 (k > 16) are the first past it
+    for k in range(2, 41):
+        for e in range(k, 3 * k + 1):
+            code, want = _image(e, k, True), add(OMEGA, ref_o_map(e, k))
+            assert code.key == want.key and code.terms == want.terms, (e, k)
+
+
+def test_images_where_exponent_3_first_appears():
+    # 2048 = F_3(2) = [(3,1)]_2: the first value at base 2 with exponent 3
+    prev = ref_o_map(1_999, 2)
+    for x in range(2_000, 2_100):
+        a, want = o_map(x, 2), ref_o_map(x, 2)
+        assert a.key == want.key and a.terms == want.terms, x
+        assert Q_pred(a, 2, CAP).key == prev.key, x
+        prev = want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_images_and_predecessors_of_100_digit_values(k):
+    for x in (10**99, 10**99 + 1, 10**100 - 1, 7**118):
+        a, want = o_map(x, k), ref_o_map(x, k)
+        assert a.key == want.key and a.terms == want.terms
+        assert Q_pred(a, k, x).key == ref_o_map(x - 1, k).key
+        assert outcome(Q_pred, a, k, x - 1) == outcome(ref_Q_pred, a, k, x - 1)
+
+
+def w_plus(n):
+    """The exponent w + n through the validating constructor."""
+    return Ordinal(((from_int(1), 1),) + (((ZERO, n),) if n else ()))
+
+
+def w_plus_cases(k):
+    """Ordinals with an exponent w + n (n = 0, k-1, k, k+1) at the top or one
+    level down, whose value k + n sits just below, at and just above the
+    membership bound max(4, k, C) + 1, as C is set by a last finite term."""
+    for n in (0, k - 1, k, k + 1):
+        for c in (1, k - 1, k):
+            for shift in (-1, 0, 1):
+                top = Ordinal(((w_plus(n), c),))
+                C = k + n - 1 + shift  # the bound is C + 1, against k + n
+                if C >= 1:
+                    top = add(top, from_int(C))
+                yield top
+                yield Ordinal(((top, 1),))  # one level down
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_w_plus_n_exponents_read_in_place_match(k):
+    members = 0
+    for a in w_plus_cases(k):
+        for bound in range(k, 2 * k + 4):  # the value k + n of each w + n against the bound itself
+            assert outcome(_skeleton, a, k, bound) == outcome(ref_skeleton, a, k, bound), (a, bound)
+        report = in_D(a, k)
+        assert report == ref_in_D(a, k), a
+        members += report.member
+        value = ref_L_inverse(a, k, 10**6) if report.member else None
+        for cap in {0, CAP, *(v for v in range(2 * k + 6))} | (
+                {value.value - 1, value.value, value.value + 1} if isinstance(value, Exact) else set()):
+            assert outcome(L_inverse, a, k, cap) == outcome(ref_L_inverse, a, k, cap), (a, cap)
+            got, want = outcome(Q_pred, a, k, cap), outcome(ref_Q_pred, a, k, cap)
+            assert (got.key if isinstance(got, Ordinal) else got) == (want.key if isinstance(want, Ordinal) else want)
+    assert members  # the grid holds members and non-members
 
 
 # ---------------------------------------------------------------------------

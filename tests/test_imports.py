@@ -1,4 +1,5 @@
-"""Module boundaries: no module of the package imports another's private names."""
+"""Module boundaries: no module of the package imports another's private names,
+neither by name nor as an attribute of an imported module."""
 
 import ast
 from pathlib import Path
@@ -8,11 +9,35 @@ import grzseq
 PACKAGE = Path(grzseq.__file__).parent
 
 
+def private_imports(source: str) -> list[str]:
+    """Each ``from .x import _name``, and each ``m._name`` read off a module m
+    that the source binds with ``from . import m`` (dunders such as
+    ``m.__name__`` excepted); the absolute forms through ``grzseq`` too."""
+    tree = ast.parse(source)
+    offenders, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("grzseq")):
+            offenders += [f"from {'.' * node.level}{node.module or ''} import {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+            if node.module in (None, "grzseq"):
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                and node.attr.startswith("_") and not node.attr.endswith("__")):
+            offenders.append(f"{node.value.id}.{node.attr}")
+    return offenders
+
+
 def test_no_private_names_imported_across_modules():
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
-                              for a in node.names if a.name.startswith("_")]
+        offenders += [f"{path.name}: {o}" for o in private_imports(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+def test_the_guard_sees_both_ways_in():
+    assert private_imports("from .ordinals import _sum, add") == ["from .ordinals import _sum"]
+    assert private_imports("from . import ordinals\nordinals._sum(())") == ["ordinals._sum"]
+    assert private_imports("from . import ordinals as o\nx = o._ordinal") == ["o._ordinal"]
+    assert private_imports("from . import ordinals\nordinals.add(a, b)\nordinals.__name__") == []
+    assert private_imports("from grzseq import ordinals\nordinals._sum") == ["ordinals._sum"]

@@ -1,6 +1,8 @@
 """Properties of the codec on generated inputs: round trips, order, and the
 soundness of every cutoff against a naive evaluator with a larger budget;
-and the round trip of a compressed chain through its text.
+the correspondence's inverse, predecessor, membership and order on the
+images of generated values; and the round trip of a compressed chain
+through its text.
 
 Deterministic: each test runs derandomized, with a fixed number of examples
 and no example database.
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_eval import naive_iter
 
+from grzseq.correspond import L_inverse, Q_pred, in_D, o_map
 from grzseq.frep import FRep, TRep, compare, decode, decode_total, encode, shift_total_value, shift_value, to_total
 from grzseq.grzeval import Exact, ExceedsCap, climb, fold
 from grzseq.order import Ordering
@@ -139,6 +142,42 @@ def test_decode_total_cutoffs_are_sound(k, exponents, counts, cap):
     pairs = list(zip(sorted(exponents, reverse=True), counts))
     t = TRep(k, tuple((to_total(e, k), to_total(c, k)) for e, c in pairs))
     assert confirmed(decode_total(t, cap), cap, naive_fold(pairs, k, budget_above(cap)))
+
+
+# ---------------------------------------------------------------------------
+# The correspondence o_k on values up to 10^300
+
+
+mapped = st.one_of(st.integers(0, 10**6), st.integers(0, 10**300))
+map_bases = st.integers(2, 6)
+
+
+@derandomized(200)
+@given(mapped, map_bases, st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 10**300)))
+def test_L_inverse_inverts_o_map_under_any_cap_from_x(x, k, extra):
+    x += k
+    assert L_inverse(o_map(x, k), k, x + extra) == Exact(x)
+
+
+@derandomized(200)
+@given(mapped, map_bases, st.one_of(st.just(0), st.integers(0, 10**300)))
+def test_Q_pred_of_an_image_is_the_image_of_the_predecessor(x, k, extra):
+    x += k + 1
+    assert Q_pred(o_map(x, k), k, x + extra) == o_map(x - 1, k)
+
+
+@derandomized(200)
+@given(mapped, map_bases)
+def test_images_are_members(x, k):
+    assert in_D(o_map(x + k, k), k).member
+
+
+@derandomized(200)
+@given(mapped, mapped, map_bases)
+def test_o_map_is_strictly_monotone(x, y, k):
+    x, y = sorted((x + k, y + k))
+    if x < y:
+        assert o_map(x, k) < o_map(y, k)
 
 
 # ---------------------------------------------------------------------------
