@@ -233,20 +233,19 @@ def w_plus_cases(k):
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_w_plus_n_exponents_read_in_place_match(k):
-    members = 0
-    for a in w_plus_cases(k):
+    cases, members = list(w_plus_cases(k)), 0
+    for a in cases:
         for bound in range(k, 2 * k + 4):  # the value k + n of each w + n against the bound itself
             assert outcome(_skeleton, a, k, bound) == outcome(ref_skeleton, a, k, bound), (a, bound)
         report = in_D(a, k)
         assert report == ref_in_D(a, k), a
         members += report.member
         value = ref_L_inverse(a, k, 10**6) if report.member else None
-        for cap in {0, CAP, *(v for v in range(2 * k + 6))} | (
+        for cap in {0, CAP, *range(2 * k + 6)} | (
                 {value.value - 1, value.value, value.value + 1} if isinstance(value, Exact) else set()):
             assert outcome(L_inverse, a, k, cap) == outcome(ref_L_inverse, a, k, cap), (a, cap)
-            got, want = outcome(Q_pred, a, k, cap), outcome(ref_Q_pred, a, k, cap)
-            assert (got.key if isinstance(got, Ordinal) else got) == (want.key if isinstance(want, Ordinal) else want)
-    assert members  # the grid holds members and non-members
+            assert outcome(Q_pred, a, k, cap) == outcome(ref_Q_pred, a, k, cap), (a, cap)
+    assert 0 < members < len(cases)
 
 
 # ---------------------------------------------------------------------------
