@@ -18,15 +18,7 @@ import os
 import sys
 
 # every command needs these three modules; each command imports the rest
-from .frep import (
-    RepError,
-    encode,
-    print_rep,
-    rep_to_json,
-    shift_total_value,
-    shift_value,
-    to_total,
-)
+from .frep import encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import CapExceededError, Exact
 from .order import ParseError, nat
 
@@ -382,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, FileNotFoundError) as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (RepError, ValueError) as err:  # correspond.NotInDError is a ValueError
+    except ValueError as err:  # frep.RepError and correspond.NotInDError are ValueErrors
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_REJECTED
     except RecursionError:  # --json output nested deeper than the JSON writers can recurse

@@ -249,10 +249,8 @@ def _check_shape(r: FRep) -> None:
         if isinstance(body, bool) or not 0 <= body < r.base:
             raise RepError(f"atom value {body!r} not in [0, base {r.base})")
         return
-    if not isinstance(body, tuple) or len(body) == 0:
-        raise RepError("pair list must be non-empty")
     prev = None
-    for pair in body:
+    for pair in _pair_list(body):
         if type(pair) is not tuple or len(pair) != 2:
             raise RepError(f"{pair!r} is not an (exponent, count) pair")
         e, c = pair
@@ -261,6 +259,13 @@ def _check_shape(r: FRep) -> None:
         if prev is not None and e >= prev:
             raise RepError(f"exponents not strictly decreasing at {e}")
         prev = e
+
+
+def _pair_list(body) -> tuple:
+    # body as a pair list, a non-empty tuple; else a RepError that names it
+    if isinstance(body, tuple) and body:
+        return body
+    raise RepError("pair list must be " + ("non-empty" if body == () else "a tuple of (exponent, count) pairs"))
 
 
 def decode(r: FRep, cap: int) -> BoundedNat:
@@ -304,10 +309,18 @@ def compare(a: FRep, b: FRep) -> Ordering:
     pa, pb = a.body, b.body
     if pa == pb:
         return _EQ
-    if type(pa) is not type(pb):
-        # atoms are below the base, pair forms are >= base
-        return _LT if type(pa) is int else _GT
-    return _LT if pa < pb else _GT
+    if type(pa) is type(pb):
+        try:
+            return _LT if pa < pb else _GT
+        except TypeError:
+            pass
+    # bodies of unequal types, or pairs the tuple compare cannot order: only
+    # here is decode's shape rule checked.  Past it, atoms are below the
+    # base and pair forms >= base
+    for r in (a, b):
+        if not getattr(r, "_shaped", False):
+            _check_shape(r)
+    return _LT if type(pa) is int else _GT
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +481,22 @@ def decode_total(t: TRep, cap: int) -> BoundedNat:
 #   item ::= NAT | rep          (nested bracket items make the rep hereditary)
 
 
+def _printed_pairs(r: FRep) -> tuple:
+    # the pairs of a pair form as the printers read them, each of two ints
+    # or reps.  Whatever parse_rep reads prints, non-falling exponents and
+    # mixed bases included: decode and validate judge those
+    body = _pair_list(r.body)
+    for p in body:
+        if not (isinstance(p, tuple) and len(p) == 2 and all(type(v) is int or isinstance(v, FRep) for v in p)):
+            raise RepError(f"{p!r} is not an (exponent, count) pair")
+    return body
+
+
 def print_rep(r: FRep | TRep) -> str:
     if r.is_atom:
         return str(r.body)
     items = []
-    for e, c in r.pairs:
+    for e, c in _printed_pairs(r):
         es = print_rep(e) if isinstance(e, TRep) else str(e)
         cs = print_rep(c) if isinstance(c, TRep) else str(c)
         items.append(f"({es},{cs})")
@@ -585,7 +609,7 @@ def rep_to_json(r: FRep | TRep) -> dict:
         return {"base": str(r.base), "atom": str(r.body)}
     return {
         "base": str(r.base),
-        "pairs": [[_component_to_json(e), _component_to_json(c)] for e, c in r.pairs],
+        "pairs": [[_component_to_json(e), _component_to_json(c)] for e, c in _printed_pairs(r)],
     }
 
 

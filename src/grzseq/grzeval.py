@@ -49,45 +49,13 @@ class CapExceededError(ArithmeticError):
         self.cap = cap
 
 
-def _f2(x: int, cap: int) -> int | None:
-    # F_2(x) = x * 2^x for every x (F_2(0) = 0 falls out of the shift).
-    if x >= cap.bit_length() and x > 0:
-        return None
-    v = x << x
-    return v if v <= cap else None
-
-
-def _eval(n: int, x: int, cap: int) -> int | None:
-    """F_n(x), or None when the value exceeds cap."""
-    if n == 0:
-        v = x + 1
-        return v if v <= cap else None
-    if x == 0:
-        return 0
-    if x == 1:
-        return 2 if cap >= 2 else None
-    # x >= 2 and n >= 1 from here on.
-    if n == 1:
-        v = 2 * x
-        return v if v <= cap else None
-    if n == 2:
-        return _f2(x, cap)
-    if n >= 4:
-        # F_n(x) >= F_4(2) = F_3(2048) >= F_2(F_2(2048)), which has more than
-        # 2^2059 bits, so it exceeds every cap that fits in memory.
-        return None
-    # F_3(x) = F_2^(x)(x); an x past cap is past bitlen(cap) too, so the
-    # climb stops at once
-    i, v = climb(2, x, cap, x)
-    return v if i == x else None
-
-
 def climb(n: int, x: int, cap: int, limit: int) -> tuple[int, int]:
     """(i, F_n^(i)(x)) for the largest i <= limit with F_n^(i)(x) <= cap.
 
     Requires 0 <= x <= cap and checks nothing, like ``fold``.  This is the
-    kernel's one iterate loop: ``fold``, ``eval_F_iter``, ``exceeds``, F_3
-    and the codec's greedy tower search all climb through it.
+    kernel's only evaluator of F_n: ``eval_F``, ``in_relation_R``, ``fold``,
+    ``eval_F_iter``, ``exceeds`` and the codec's greedy tower search all
+    climb through it, and a step of F_3 is a climb of F_2.
     """
     if n == 0:
         y = x + limit
@@ -109,7 +77,17 @@ def climb(n: int, x: int, cap: int, limit: int) -> tuple[int, int]:
         while i < limit and x < bits and (y := x << x) <= cap:
             i, x = i + 1, y
         return i, x
-    while i < limit and (y := _eval(n, x, cap)) is not None:
+    if n >= 4:
+        # F_n(1) = 2, and for x >= 2, F_n(x) >= F_4(2) = F_3(2048) >=
+        # F_2(F_2(2048)), which has more than 2^2059 bits, so it exceeds every
+        # cap that fits in memory.  No large n recurses.
+        return (1, 2) if x == 1 and limit and cap >= 2 else (0, x)
+    # n == 3 here.  F_n(x) = F_{n-1}^(x)(x), so one step is a climb of x
+    # iterates a level down
+    while i < limit:
+        j, y = climb(n - 1, x, cap, x)
+        if j < x:
+            break
         i, x = i + 1, y
     return i, x
 
@@ -140,8 +118,11 @@ def eval_F(n: int, x: int, cap: int) -> BoundedNat:
     check_nat("n", n)
     check_nat("x", x)
     check_nat("cap", cap)
-    v = _eval(n, x, cap)
-    return Exact(v) if v is not None else ExceedsCap(cap)
+    if x <= cap:
+        i, v = climb(n, x, cap, 1)
+        if i:
+            return Exact(v)
+    return ExceedsCap(cap)
 
 
 def eval_F_iter(n: int, i: int, x: int, cap: int) -> BoundedNat:
@@ -171,4 +152,4 @@ def in_relation_R(n: int, x: int, y: int) -> bool:
     check_nat("n", n)
     check_nat("x", x)
     check_nat("y", y)
-    return _eval(n, x, y) == y
+    return x <= y and climb(n, x, y, 1) == (1, y)

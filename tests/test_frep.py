@@ -166,6 +166,20 @@ def test_atom_below_any_pair_form():
     assert compare(encode(7, 5), FRep(5, 0)) == Ordering.GT
 
 
+@pytest.mark.parametrize("bad", [FRep(2, "x"), FRep(2, ((1, None),)), FRep(2, None), FRep(2, 7), FRep(2, True),
+                                 TRep(2, ((TRep(2, 1), TRep(2, 1)),))], ids=repr)
+def test_compare_refuses_what_decode_refuses(bad):
+    # against 5 = [(1,1),(0,1)]_2 each body is of another type, or fails the
+    # tuple compare: there a broken shape is decode's RepError, not an answer
+    with pytest.raises(RepError) as err:
+        decode(bad, CAP)
+    good = encode(5, 2)
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(RepError) as got:
+            compare(a, b)
+        assert str(got.value) == str(err.value)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_compare_matches_is_atom_reference(k):
     def reference(a: FRep, b: FRep) -> Ordering:
@@ -568,6 +582,28 @@ def test_decode_total_rejects_exponents_that_do_not_fall():
 def test_print_examples():
     assert print_rep(encode(9, 2)) == "[(2,1),(0,1)]_2"
     assert print_rep(encode(1, 3)) == "1"
+
+
+@pytest.mark.parametrize("r", [FRep(2, (5,)), FRep(2, None), FRep(2, ()), FRep(2, ((1, 1, 1),)), FRep(2, ((1, None),)),
+                               TRep(2, ((None, None),)), TRep(2, ((TRep(2, None), TRep(2, 1)),))], ids=repr)
+def test_printers_refuse_a_body_that_is_no_pair_list(r):
+    for write in (print_rep, rep_to_json):
+        with pytest.raises(RepError):
+            write(r)
+
+
+def test_what_parse_rep_reads_prints():
+    # the printers check the shape only: falling exponents and one base
+    # throughout are decode's and validate's to judge
+    for text in ("[(0,2),(1,1)]_2", "[([(0,1)]_3,1)]_2", "[(5,0),(5,0)]_2"):
+        r = parse_rep(text)
+        assert print_rep(r) == text
+        assert rep_from_json(rep_to_json(r)) == r
+
+
+def test_validate_names_a_body_that_is_not_a_tuple():
+    assert validate(FRep(2, "x")).violations == ("pair list must be a tuple of (exponent, count) pairs",)
+    assert validate(FRep(2, ())).violations == ("pair list must be non-empty",)
 
 
 def test_parse_examples():

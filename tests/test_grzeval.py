@@ -200,6 +200,25 @@ def test_large_n_small_cap():
     assert eval_F(50, 0, 10**9) == Exact(0)
 
 
+def at_stack_depth(frames, f, *args):
+    """f(*args) called from a stack about this many frames deeper."""
+    return f(*args) if frames == 0 else at_stack_depth(frames - 1, f, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 800])
+def test_large_levels_answer_without_recursing(frames):
+    # F_n(0) = 0 and F_n(1) = 2 at every level, and past F_3 no F_n(2) fits
+    # any cap: answered at the level asked, with no climb down the levels
+    cap = 2**5000
+    for n in (4, 1000, 2000):
+        for x, y in ((0, 0), (1, 2), (2, None)):
+            want = Exact(y) if y is not None else ExceedsCap(cap)
+            assert at_stack_depth(frames, eval_F, n, x, cap) == want, (n, x)
+            assert at_stack_depth(frames, eval_F_iter, n, 1, x, cap) == want, (n, x)
+            assert at_stack_depth(frames, exceeds, n, 1, x, cap) is (y is None), (n, x)
+            assert at_stack_depth(frames, in_relation_R, n, x, cap if y is None else y) is (y is not None), (n, x)
+
+
 def test_rejects_negative_arguments():
     with pytest.raises(ValueError):
         eval_F(-1, 2, 100)

@@ -1,5 +1,6 @@
-"""Properties of the codec on generated inputs: round trips, order, and the
-soundness of every cutoff against a naive evaluator with a larger budget;
+"""Properties of the kernel and the codec on generated inputs: round trips,
+order, and the soundness of every cutoff against a naive evaluator with a
+larger budget;
 the correspondence's inverse, predecessor, membership and order on the
 images of generated values; and the round trip of a compressed chain
 through its text.
@@ -14,7 +15,7 @@ from naive_eval import naive_iter
 
 from grzseq.correspond import L_inverse, Q_pred, in_D, o_map
 from grzseq.frep import FRep, TRep, compare, decode, decode_total, encode, shift_total_value, shift_value, to_total
-from grzseq.grzeval import Exact, ExceedsCap, climb, fold
+from grzseq.grzeval import Exact, ExceedsCap, climb, eval_F, eval_F_iter, exceeds, fold, in_relation_R
 from grzseq.order import Ordering
 from grzseq.ordinals import ZERO, Ordinal, from_int
 from grzseq.slowdown import chain_to_text, compress, parse_chain_text, verify_slow
@@ -83,6 +84,34 @@ def test_compare_is_integer_order(a, b, k):
 
 # ---------------------------------------------------------------------------
 # Every cutoff confirmed by the naive evaluator
+
+
+levels = st.integers(0, 6)
+# caps up to 2^4096, and one below each power of two there: F_1 and F_2
+# land on the powers' edges
+kernel_caps = st.one_of(caps, st.integers(0, 2**4096), st.integers(0, 4096).map(lambda b: 2**b - 1))
+kernel_args = st.one_of(st.integers(0, 64), st.integers(0, 2**12), st.integers(0, 2**4096))
+
+
+@derandomized(300)
+@given(levels, st.integers(0, 6), kernel_args, kernel_caps)
+def test_kernel_cutoffs_are_sound(n, i, x, cap):
+    budget = budget_above(cap)
+    assert confirmed(eval_F(n, x, cap), cap, naive_iter(n, 1, x, budget))
+    truth = naive_iter(n, i, x, budget)
+    assert confirmed(eval_F_iter(n, i, x, cap), cap, truth)
+    assert exceeds(n, i, x, cap) is (truth is None or truth > cap)
+
+
+@derandomized(300)
+@given(levels, kernel_args, st.one_of(st.tuples(st.just("near"), st.integers(-2, 2)), st.tuples(st.just("any"), kernel_caps)))
+def test_relation_is_the_graph_of_the_kernel(n, x, how_y):
+    # y within 2 of F_n(x) when that is small enough to reach, or any y
+    how, y = how_y
+    if how == "near":
+        v = naive_iter(n, 1, x, 2**4097)
+        y = max(0, (v if v is not None else x) + y)
+    assert in_relation_R(n, x, y) is (naive_iter(n, 1, x, budget_above(y)) == y)
 
 
 @derandomized(400)

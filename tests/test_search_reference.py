@@ -1,14 +1,14 @@
 """The greedy tower search that climbs each level once, and the kernel whose
-one iterate loop is ``climb``, against the bodies they replaced: identical
-pairs from ``encode`` and ``encode_pairs``, identical ``eval_F``,
-``eval_F_iter`` and ``exceeds`` answers."""
+only evaluator of F_n is ``climb``, against the bodies they replaced:
+identical pairs from ``encode`` and ``encode_pairs``, identical ``eval_F``,
+``eval_F_iter``, ``exceeds`` and ``in_relation_R`` answers."""
 
 import random
 
 import pytest
 
 from grzseq.frep import encode, encode_pairs
-from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds
+from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, exceeds, in_relation_R
 
 # ---------------------------------------------------------------------------
 # The replaced bodies: a kernel with its own F_2 loop and its own F_n loop,
@@ -149,3 +149,14 @@ def test_kernel_matches_the_loop_per_level_kernel(n):
                 want = ref_iter(n, i, x, cap)
                 assert eval_F_iter(n, i, x, cap) == bounded(want, cap), (n, i, x, cap)
                 assert exceeds(n, i, x, cap) == (want is None), (n, i, x, cap)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_relation_matches_the_loop_per_level_kernel(n):
+    # each cap as y, and each value the replaced kernel found under a cap
+    for cap in CAPS:
+        for x in range(40):
+            v = ref_eval(n, x, cap)
+            assert in_relation_R(n, x, cap) == (v == cap), (n, x, cap)
+            if v is not None:
+                assert in_relation_R(n, x, v), (n, x, v)
