@@ -41,13 +41,6 @@ class NotInDError(ValueError):
 class MembershipReport(Record):
     __slots__ = _fields = ("member", "base", "skeleton", "reason")
 
-    def __init__(self, member: bool, base: int, skeleton: tuple[tuple[BoundedNat, int], ...] | None,
-                 reason: str | None):
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "skeleton", skeleton)
-        object.__setattr__(self, "reason", reason)
-
 
 class PaddedProfile(Record):
     """Counts of x placed into n slots (slot q holds the count of exponent n-q),
@@ -55,12 +48,6 @@ class PaddedProfile(Record):
     m_{q+1} = F_{n-q}^(j_q)(m_q)."""
 
     __slots__ = _fields = ("n", "base", "j", "m")
-
-    def __init__(self, n: int, base: int, j: tuple[int, ...], m: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "m", m)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ class FRep(Record):
     def __init__(self, base: int, body: int | Pairs):
         if not isinstance(base, int) or base < 2:
             raise RepError(f"base must be an integer >= 2, got {base!r}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "body", body)
+        _set_base(self, base)
+        _set_body(self, body)
 
     @property
     def is_atom(self) -> bool:
@@ -158,10 +158,6 @@ def _pair_form_fault(body, base: int) -> str:
 class ValidationReport(Record):
     __slots__ = _fields = ("ok", "violations")
 
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
-
 
 # ---------------------------------------------------------------------------
 # Encoding
@@ -235,7 +231,27 @@ def encode_pairs(x: int, k: int) -> Pairs:
 
 def _check_rep(name: str, r) -> None:
     if not isinstance(r, FRep):
-        raise ValueError(f"argument {name} must be an FRep or TRep, got {r!r}")
+        raise ValueError(f"argument {name} must be an FRep or TRep, got {_shown(r)}")
+
+
+def _shown(v) -> str:
+    # repr(v) for a message, but a rep, as v or as an item of the tuple or
+    # list v, is named by class and base: a tree's repr recurses per level
+    if isinstance(v, FRep):
+        return f"{type(v).__name__}(base={v.base!r}, ...)"
+    if type(v) not in (tuple, list) or not any(isinstance(x, FRep) for x in v):
+        return repr(v)
+    text = ", ".join([_shown(x) if isinstance(x, FRep) else repr(x) for x in v])
+    return f"[{text}]" if type(v) is list else f"({text}{',' * (len(v) == 1)})"
+
+
+def _checked_atom(r: FRep) -> int:
+    # the body of atom r, an int in [0, base) and not a bool: the atom
+    # clause of decode's shape rule, which the printers share
+    body = r.body
+    if isinstance(body, bool) or not 0 <= body < r.base:
+        raise RepError(f"atom value {body!r} not in [0, base {r.base})")
+    return body
 
 
 def _check_shape(r: FRep) -> None:
@@ -246,16 +262,15 @@ def _check_shape(r: FRep) -> None:
     _check_rep("r", r)
     body = r.body
     if isinstance(body, int):  # r.is_atom, without the property call
-        if isinstance(body, bool) or not 0 <= body < r.base:
-            raise RepError(f"atom value {body!r} not in [0, base {r.base})")
+        _checked_atom(r)
         return
     prev = None
     for pair in _pair_list(body):
         if type(pair) is not tuple or len(pair) != 2:
-            raise RepError(f"{pair!r} is not an (exponent, count) pair")
+            raise RepError(f"{_shown(pair)} is not an (exponent, count) pair")
         e, c = pair
         if type(e) is not int or type(c) is not int or e < 0 or c < 0:  # exactly int: no bool
-            raise RepError(f"pair ({e!r},{c!r}) must hold non-negative integers")
+            raise RepError(f"pair ({_shown(e)},{_shown(c)}) must hold non-negative integers")
         if prev is not None and e >= prev:
             raise RepError(f"exponents not strictly decreasing at {e}")
         prev = e
@@ -433,7 +448,7 @@ def _decode_total(t: TRep, cap: int) -> int | None:
     body = t.body
     if isinstance(body, int):  # t.is_atom, without the property call
         if type(body) is not int or not 0 <= body < t.base:
-            _check_shape(t)  # raises
+            _checked_atom(t)  # raises
         return body if body <= cap else None
     if fault := _pair_form_fault(body, t.base):  # checked as the walk reaches each node
         raise RepError(fault)
@@ -488,13 +503,13 @@ def _printed_pairs(r: FRep) -> tuple:
     body = _pair_list(r.body)
     for p in body:
         if not (isinstance(p, tuple) and len(p) == 2 and all(type(v) is int or isinstance(v, FRep) for v in p)):
-            raise RepError(f"{p!r} is not an (exponent, count) pair")
+            raise RepError(f"{_shown(p)} is not an (exponent, count) pair")
     return body
 
 
 def print_rep(r: FRep | TRep) -> str:
     if r.is_atom:
-        return str(r.body)
+        return str(_checked_atom(r))
     items = []
     for e, c in _printed_pairs(r):
         es = print_rep(e) if isinstance(e, TRep) else str(e)
@@ -600,13 +615,13 @@ def _component_to_json(v):
     if isinstance(v, int):
         return str(v)
     if v.is_atom:
-        return str(v.body)
+        return str(_checked_atom(v))
     return rep_to_json(v)
 
 
 def rep_to_json(r: FRep | TRep) -> dict:
     if r.is_atom:
-        return {"base": str(r.base), "atom": str(r.body)}
+        return {"base": str(r.base), "atom": str(_checked_atom(r))}
     return {
         "base": str(r.base),
         "pairs": [[_component_to_json(e), _component_to_json(c)] for e, c in _printed_pairs(r)],

@@ -25,17 +25,11 @@ class Exact(Record):
 
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
 
 class ExceedsCap(Record):
     """Marker for a value provably greater than ``cap``."""
 
     __slots__ = _fields = ("cap",)
-
-    def __init__(self, cap: int):
-        object.__setattr__(self, "cap", cap)
 
 
 BoundedNat = Exact | ExceedsCap

@@ -11,17 +11,30 @@ import re
 
 class Record:
     """An immutable record.  A subclass names its fields in ``_fields`` (and
-    in ``__slots__``) and sets them in its own ``__init__`` through
-    ``object.__setattr__``.  Records are equal when they are of one class
-    with equal fields, hash by their fields and print as ``Exact(value=5)``."""
+    in ``__slots__``) and any trailing defaults in ``_defaults``.  Unless it
+    writes its own ``__init__``, it gets one that takes the fields by
+    position or keyword and sets each slot through the slot's setter.
+    Records are equal when they are of one class with equal fields, hash by
+    their fields and print as ``Exact(value=5)``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls):
+        fields = cls._fields
         # reads the fields in C, so == and hash cost about what generated methods cost
-        cls._values = operator.attrgetter(*cls._fields)
-        cls.__match_args__ = cls._fields
+        cls._values = operator.attrgetter(*fields)
+        cls.__match_args__ = fields
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            # the slots' own setters: each a third cheaper than object.__setattr__ by name
+            setters = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+            body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", setters)
+            init = setters["__init__"]
+            init.__defaults__ = cls._defaults
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -35,7 +35,7 @@ class Ordinal(Record):
     _fields = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Ordinal, int], ...] = ()):
-        object.__setattr__(self, "terms", terms)
+        _set_terms(self, terms)
         key = [OPEN]
         prev = None
         for e, c in terms:
@@ -50,7 +50,7 @@ class Ordinal(Record):
             key.append(c)
             prev = ek
         key.append(CLOSE)
-        object.__setattr__(self, "key", tuple(key))
+        _set_key(self, tuple(key))
 
     @property
     def is_zero(self) -> bool:
@@ -100,7 +100,7 @@ class _Tower(Ordinal):
     __slots__ = ()
 
     def __init__(self, terms: tuple[tuple[Ordinal, int], ...]):
-        object.__setattr__(self, "terms", terms)  # omega_pow, its one builder, checked the term
+        _set_terms(self, terms)  # omega_pow, its one builder, checked the term
 
     def __getattr__(self, name):  # reached only while the key slot is empty
         if name != "key":
@@ -114,9 +114,13 @@ class _Tower(Ordinal):
         for c in reversed(coeffs):
             key += (c, CLOSE)
         key = tuple(key)
-        object.__setattr__(self, "key", key)
+        _set_key(self, key)
         return key
 
+
+# the slots' own setters, bound once: each is about a third cheaper than
+# object.__setattr__ by name
+_new, _set_terms, _set_key = object.__new__, Ordinal.terms.__set__, Ordinal.key.__set__
 
 # omega_pow over an exponent with a longer key defers the key: about 20
 # levels of w^(w^(...)) are built eagerly
@@ -125,11 +129,6 @@ _EAGER_EXPONENT_KEY = 64
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
-
-
-# the slots' own setters, bound once: each is about a third cheaper than
-# object.__setattr__ by name
-_new, _set_terms, _set_key = object.__new__, Ordinal.terms.__set__, Ordinal.key.__set__
 
 
 def _ordinal(terms: tuple, key: tuple) -> Ordinal:

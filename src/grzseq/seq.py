@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 
 from .correspond import L_inverse, Q_pred, in_D, o_map
-from .frep import FRep, TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
+from .frep import encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
 from .order import Record, check_nat
 from .ordinals import Ordinal, ordinal_to_json
@@ -35,35 +35,14 @@ class Phase(enum.Enum):
 class TraceStep(Record):
     __slots__ = _fields = ("k", "base", "value", "rep", "shadow", "phase")
 
-    def __init__(self, k: int, base: int, value: BoundedNat, rep: FRep | TRep | None, shadow: Ordinal | None,
-                 phase: Phase):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "shadow", shadow)
-        object.__setattr__(self, "phase", phase)
-
 
 class Outcome(Record):
-    __slots__ = _fields = ("kind", "at")
-
-    def __init__(self, kind: str, at: int):  # kind: "terminated" | "overflowed_cap" | "step_limit"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "at", at)
+    __slots__ = _fields = ("kind", "at")  # kind: "terminated" | "overflowed_cap" | "step_limit"
 
 
 class Trace(Record):
     __slots__ = _fields = ("start", "hereditary", "cap", "steps", "outcome", "overflow_desc")
-
-    def __init__(self, start: int, hereditary: bool, cap: int, steps: tuple[TraceStep, ...], outcome: Outcome,
-                 overflow_desc: str | None = None):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "hereditary", hereditary)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "overflow_desc", overflow_desc)
+    _defaults = (None,)
 
     def values(self) -> list[BoundedNat]:
         return [s.value for s in self.steps]
@@ -75,22 +54,9 @@ class Trace(Record):
 class CheckReport(Record):
     __slots__ = _fields = ("ok", "checked", "skipped", "violations")
 
-    def __init__(self, ok: bool, checked: int, skipped: int, violations: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "violations", violations)
-
 
 class DominationReport(Record):
-    __slots__ = _fields = ("ok", "entries", "skipped", "violations")
-
-    def __init__(self, ok: bool, entries: tuple[tuple[int, int, int], ...], skipped: tuple[int, ...],
-                 violations: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "entries", entries)  # (k, v_k, z_k) actually compared
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "violations", violations)
+    __slots__ = _fields = ("ok", "entries", "skipped", "violations")  # entries: the (k, v_k, z_k) compared
 
 
 def next_step(v: int, k: int, hereditary: bool, cap: int) -> BoundedNat:

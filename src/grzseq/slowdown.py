@@ -37,22 +37,12 @@ from .ordinals import (  # the chain-file reader and writer sit beside the ordin
 
 
 class SlowChain(Record):
-    __slots__ = _fields = ("entries", "tower_prefix_len", "tower_height_base", "note")
-
-    def __init__(self, entries: tuple[Ordinal, ...], tower_prefix_len: int, tower_height_base: int,
-                 note: str | None = None):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "tower_prefix_len", tower_prefix_len)  # ell
-        object.__setattr__(self, "tower_height_base", tower_height_base)  # N
-        object.__setattr__(self, "note", note)
+    __slots__ = _fields = ("entries", "tower_prefix_len", "tower_height_base", "note")  # the two ints: ell and N
+    _defaults = (None,)
 
 
 class SlowReport(Record):
     __slots__ = _fields = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
 
 
 def slow_g(n: int, k: int, x: int) -> Ordinal:

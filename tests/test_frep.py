@@ -601,6 +601,45 @@ def test_what_parse_rep_reads_prints():
         assert rep_from_json(rep_to_json(r)) == r
 
 
+@pytest.mark.parametrize("r,atom", [
+    (FRep(2, True), "True"),
+    (FRep(2, 7), "7"),
+    (TRep(2, 2), "2"),
+    (TRep(2, ((TRep(2, 5), TRep(2, 1)),)), "5"),
+    (TRep(2, ((TRep(2, 1), TRep(2, False)),)), "False"),
+    (TRep(2, ((TRep(2, ((TRep(2, 1), TRep(2, -1)),)), TRep(2, 0)),)), "-1"),
+    (FRep(2, ((FRep(2, 3), 1),)), "3"),
+], ids=repr)
+def test_printers_refuse_a_bad_atom_at_any_node(r, atom):
+    # 7 would read back as an atom of base 8, and True not at all
+    for write in (print_rep, rep_to_json):
+        with pytest.raises(RepError) as err:
+            write(r)
+        assert str(err.value) == f"atom value {atom} not in [0, base 2)"
+
+
+def test_a_broken_pair_names_a_deep_tree_by_class_and_base():
+    # the repr of a 400-level tree recurses past the default limit
+    deep = TRep(2, 1)
+    for _ in range(400):
+        deep = TRep(2, ((deep, TRep(2, 1)),))
+    bad = FRep(2, ((deep, None),))
+    want = "pair (TRep(base=2, ...),None) must hold non-negative integers"
+    assert validate(bad) == ValidationReport(False, (want,))
+    for call in (lambda: decode(bad, CAP), lambda: compare(bad, encode(5, 2)), lambda: compare(encode(5, 2), bad)):
+        with pytest.raises(RepError) as err:
+            call()
+        assert str(err.value) == want
+    for write in (print_rep, rep_to_json):
+        with pytest.raises(RepError) as err:
+            write(bad)
+        assert str(err.value) == "(TRep(base=2, ...), None) is not an (exponent, count) pair"
+    assert validate(FRep(2, ([deep, 1],))).violations == ("[TRep(base=2, ...), 1] is not an (exponent, count) pair",)
+    assert validate(FRep(2, ((deep,),))).violations == ("(TRep(base=2, ...),) is not an (exponent, count) pair",)
+    with pytest.raises(ValueError, match=r"^argument r must be an FRep or TRep, got \(TRep\(base=2, \.\.\.\),\)$"):
+        decode((deep,), CAP)
+
+
 def test_validate_names_a_body_that_is_not_a_tuple():
     assert validate(FRep(2, "x")).violations == ("pair list must be a tuple of (exponent, count) pairs",)
     assert validate(FRep(2, ())).violations == ("pair list must be non-empty",)

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports another's private names,
-neither by name nor as an attribute of an imported module."""
+neither by name nor as an attribute of an imported module, and none fills a
+slot through ``object.__setattr__``."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,24 @@ def test_the_guard_sees_both_ways_in():
     assert private_imports("from . import ordinals as o\nx = o._ordinal") == ["o._ordinal"]
     assert private_imports("from . import ordinals\nordinals.add(a, b)\nordinals.__name__") == []
     assert private_imports("from grzseq import ordinals\nordinals._sum") == ["ordinals._sum"]
+
+
+def object_setattr_reads(source: str) -> list[int]:
+    """The lines that read ``object.__setattr__``, called or not: a record
+    fills its slots through the slots' own setters."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"]
+
+
+def test_no_module_calls_object_setattr():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        offenders += [f"{path.name}:{line}" for line in object_setattr_reads(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+def test_the_setattr_guard_sees_a_call_and_an_alias():
+    assert object_setattr_reads('object.__setattr__(self, "x", 1)') == [1]
+    assert object_setattr_reads("# object.__setattr__\nset = object.__setattr__") == [2]
+    assert object_setattr_reads("_set_x(self, 1)\nFRep.base.__set__(r, 2)") == []
