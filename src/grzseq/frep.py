@@ -63,83 +63,60 @@ class FRep(Record):
 class TRep(FRep):
     """Hereditary representation: exponents and counts are themselves TReps,
     so ``body`` is an atom or a tuple of (TRep, TRep) pairs.  Equality,
-    hashing, pickle and deepcopy take trees of any depth."""
+    hashing, pickle and deepcopy take trees of any depth whose bodies hash."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not TRep:
             return NotImplemented
-        # one explicit-stack walk over nodes, bodies and pairs, as the fields'
-        # tuple compare would recurse.  to_total shares equal sub-trees, so a
-        # pair of nodes is matched once however often the trees reach it:
-        # once expanded it either matches or ends the walk with False
-        todo, matched = [(self, other)], set()
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if type(a) is tuple and type(b) is tuple:
-                if len(a) != len(b):
-                    return False
-                todo += zip(a, b)
-            elif a.__class__ is TRep and b.__class__ is TRep:
-                if (pair := (id(a), id(b))) not in matched:
-                    if a.base != b.base:
-                        return False
-                    matched.add(pair)
-                    todo.append((a.body, b.body))
-            elif a != b:  # atoms, and the odd items of a hand-built body
-                return False
-        return True
+        return _numbered(self, numbers := {}) == _numbered(other, numbers, grow=False)
 
     def __hash__(self):
-        # each distinct node hashed once from its children's hashes, kept by
-        # id for this call only; a pair form hashes as a tuple of those
-        hashed = {}
-        for t, kids in _post_order(self):
-            body = t.body if kids is None else tuple([(hashed[id(e)], hashed[id(c)]) for e, c in kids])
-            hashed[id(t)] = hash((t.base, body))
-        return hashed[id(self)]
+        _numbered(self, numbers := {})
+        return hash(tuple(numbers))
 
     def __reduce__(self):
-        # the fields would pickle and deepcopy once per level; instead a flat
-        # post-order list of the distinct nodes, each pair form naming its
-        # children by their places in the list.  Rebuilt through __init__
-        at, flat = {}, []
-        for t, kids in _post_order(self):
-            at[id(t)] = len(flat)
-            if kids is None:
-                flat.append((t.base, t.body, None))
-            else:
-                flat.append((t.base, None, [(at[id(e)], at[id(c)]) for e, c in kids]))
-        return _tree, (flat,)
+        # the fields would pickle and deepcopy once per level; instead the
+        # keys of the distinct nodes, the root's last.  Rebuilt through __init__
+        _numbered(self, numbers := {})
+        return _tree, (list(numbers),)
 
 
 def _tree(flat: list) -> TRep:
-    # the tree TRep.__reduce__ flattened, equal sub-trees shared as there
+    # the tree of TRep.__reduce__'s node keys, a node per key: equal sub-trees shared
     nodes = []
     for base, body, kids in flat:
         nodes.append(TRep(base, body if kids is None else tuple([(nodes[e], nodes[c]) for e, c in kids])))
     return nodes[-1]
 
 
-def _post_order(t: TRep) -> list:
-    # the distinct nodes of tree t by id, each after its children, as
-    # (node, its pairs) for a pair form and (node, None) for anything else
-    done, order, todo = set(), [], [(t, False)]
+def _numbered(t: TRep, numbers: dict, grow: bool = True) -> int:
+    # t's number in numbers, which maps the key of each distinct node to its
+    # number, given in post-order.  The key of an atom, or of any body that
+    # is no pair form, is (base, body, None); of a pair form (base, None, its
+    # pairs as pairs of child numbers).  So equal sub-trees share a number,
+    # in one tree or two, and equal trees add the same keys in the same
+    # order.  Each node of t is visited once, without recursion.  Without
+    # grow, a key not in numbers ends the walk with -1: t equals no tree there
+    at, todo = {}, [(t, False)]
     while todo:
         s, kids_done = todo.pop()
-        if id(s) in done:
+        if id(s) in at:
             continue
         body = s.body
-        if kids_done or _pair_form_fault(body, s.base):
-            done.add(id(s))
-            order.append((s, body if kids_done else None))
+        if kids_done:
+            key = (s.base, None, tuple([(at[id(e)], at[id(c)]) for e, c in body]))
+        elif type(body) is not tuple or _pair_form_fault(body, s.base):
+            key = (s.base, body, None)
         else:
             todo.append((s, True))
-            todo += [(x, False) for pair in body for x in pair if id(x) not in done]
-    return order
+            todo += [(x, False) for pair in body for x in pair if id(x) not in at]
+            continue
+        if not grow and key not in numbers:
+            return -1
+        at[id(s)] = numbers.setdefault(key, len(numbers))
+    return at[id(t)]
 
 
 def _pair_form_fault(body, base: int) -> str:
@@ -468,8 +445,11 @@ def _decoded_pairs(pairs: tuple, cap: int):
         ev = _decode_total(e, cap)
         if prev is not None and (ev is None or ev >= prev):
             raise RepError(f"exponents not strictly decreasing after {prev}")
-        if ev is None and e == over:
-            raise RepError("exponents not strictly decreasing: one past the cap repeats")
+        try:  # == hashes every body, and past the cap nodes go unchecked
+            if ev is None and e == over:
+                raise RepError("exponents not strictly decreasing: one past the cap repeats")
+        except TypeError:
+            raise RepError("a node's body is unhashable, so neither an atom nor a pair list") from None
         prev, over = ev, None
         if ev is not None:
             yield ev, _decode_total(c, cap)
@@ -496,26 +476,38 @@ def decode_total(t: TRep, cap: int) -> BoundedNat:
 #   item ::= NAT | rep          (nested bracket items make the rep hereditary)
 
 
-def _printed_pairs(r: FRep) -> tuple:
-    # the pairs of a pair form as the printers read them, each of two ints
-    # or reps.  Whatever parse_rep reads prints, non-falling exponents and
-    # mixed bases included: decode and validate judge those
-    body = _pair_list(r.body)
-    for p in body:
-        if not (isinstance(p, tuple) and len(p) == 2 and all(type(v) is int or isinstance(v, FRep) for v in p)):
+def _written(r: FRep, nested: bool, text: bool) -> str | dict:
+    # pair form r as bracket text or a JSON pair object that its reader reads
+    # back: flat if it holds only numbers, else hereditary, each number in it
+    # an atom of its bracket's base.  Non-falling exponents and mixed bases
+    # are written: decode and validate judge those
+    pairs, atoms, top = [], nested, 0
+    for p in _pair_list(r.body):  # loops, not comprehensions: one frame per level
+        if not (isinstance(p, tuple) and len(p) == 2 and _is_item(p[0]) and _is_item(p[1])):
             raise RepError(f"{_shown(p)} is not an (exponent, count) pair")
-    return body
+        pairs.append(pair := [])
+        for v in p:
+            if type(v) is not int:
+                if not v.is_atom:
+                    atoms = True
+                    pair.append(_written(v, True, text))
+                    continue
+                v = _checked_atom(v)
+            top = v if v > top else top
+            pair.append(str(v))
+    if atoms and top >= r.base:
+        raise RepError(f"atom value {top} not in [0, base {r.base})")
+    if text:
+        return "[" + ",".join([f"({e},{c})" for e, c in pairs]) + "]_" + str(r.base)
+    return {"base": str(r.base), "pairs": pairs}
+
+
+def _is_item(v) -> bool:
+    return type(v) is int and v >= 0 or isinstance(v, FRep)
 
 
 def print_rep(r: FRep | TRep) -> str:
-    if r.is_atom:
-        return str(_checked_atom(r))
-    items = []
-    for e, c in _printed_pairs(r):
-        es = print_rep(e) if isinstance(e, TRep) else str(e)
-        cs = print_rep(c) if isinstance(c, TRep) else str(c)
-        items.append(f"({es},{cs})")
-    return "[" + ",".join(items) + "]_" + str(r.base)
+    return str(_checked_atom(r)) if r.is_atom else _written(r, False, True)
 
 
 # Brackets, or JSON pair objects, nested deeper than this are rejected,
@@ -609,23 +601,11 @@ def parse_rep(text: str, base: int | None = None) -> FRep | TRep:
 # nest objects in place of strings.
 
 
-def _component_to_json(v):
-    # plain numbers (and hereditary atoms) travel as decimal strings,
-    # nested pair-forms as objects
-    if isinstance(v, int):
-        return str(v)
-    if v.is_atom:
-        return str(_checked_atom(v))
-    return rep_to_json(v)
-
-
 def rep_to_json(r: FRep | TRep) -> dict:
+    # numbers travel as decimal strings, nested pair forms as objects
     if r.is_atom:
         return {"base": str(r.base), "atom": str(_checked_atom(r))}
-    return {
-        "base": str(r.base),
-        "pairs": [[_component_to_json(e), _component_to_json(c)] for e, c in _printed_pairs(r)],
-    }
+    return _written(r, False, False)
 
 
 def _raw_from_json(obj, depth: int = 0):

@@ -575,6 +575,15 @@ def test_decode_total_rejects_exponents_that_do_not_fall():
         decode_total(TRep(2, ((TRep(2, 1), TRep(2, 1)), (to_total(10**6, 2), TRep(2, 1)))), 100)
 
 
+def test_decode_total_refuses_an_unhashable_body_past_the_cap():
+    # the repeat check compares two exponents past the cap, whose nodes the
+    # cutoff left unchecked, and == hashes every body
+    one, zero = TRep(2, 1), TRep(2, 0)
+    over = TRep(2, ((TRep(2, ((one, one),)), one), (TRep(2, [1]), one)))  # 4 > 3 at its first pair
+    with pytest.raises(RepError, match="unhashable"):
+        decode_total(TRep(2, ((over, zero), (over, zero))), 3)
+
+
 # ---------------------------------------------------------------------------
 # Text and JSON forms
 
@@ -616,6 +625,35 @@ def test_printers_refuse_a_bad_atom_at_any_node(r, atom):
         with pytest.raises(RepError) as err:
             write(r)
         assert str(err.value) == f"atom value {atom} not in [0, base 2)"
+
+
+@pytest.mark.parametrize("r,message", [
+    (FRep(2, ((-1, 1),)), "(-1, 1) is not an (exponent, count) pair"),
+    (FRep(3, ((2, 0), (1, -5))), "(1, -5) is not an (exponent, count) pair"),
+    (TRep(2, ((TRep(2, ((TRep(2, 1), -1),)), TRep(2, 1)),)), "(TRep(base=2, ...), -1) is not an (exponent, count) pair"),
+    (TRep(2, ((7, TRep(2, ((TRep(2, 1), TRep(2, 1)),))),)), "atom value 7 not in [0, base 2)"),
+    (TRep(2, ((TRep(3, 2), TRep(2, ((TRep(2, 1), TRep(2, 1)),))),)), "atom value 2 not in [0, base 2)"),
+    (FRep(2, ((FRep(2, ((5, 1),)), 1),)), "atom value 5 not in [0, base 2)"),
+    (TRep(3, ((TRep(3, ((TRep(2, ((1, 3),)), TRep(3, 1)),)), TRep(3, 1)),)), "atom value 3 not in [0, base 2)"),
+], ids=repr)
+def test_printers_refuse_an_item_that_would_not_read_back(r, message):
+    # the readers take no negative number, and read every number of a pair
+    # list that nests, or sits in one that does, as an atom of its base
+    for write in (print_rep, rep_to_json):
+        with pytest.raises(RepError) as err:
+            write(r)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("r,text", [
+    (FRep(2, ((7, 9),)), "[(7,9)]_2"),  # numbers only: read back flat, of any size
+    (FRep(2, ((TRep(3, 2), 0),)), "[(2,0)]_2"),  # an atom item prints as a number
+    (TRep(2, ((TRep(2, ((1, 0),)), TRep(2, 1)),)), "[([(1,0)]_2,1)]_2"),
+    (TRep(2, ((TRep(3, ((TRep(3, 2), TRep(3, 2)),)), TRep(2, 1)),)), "[([(2,2)]_3,1)]_2"),
+], ids=repr)
+def test_printers_write_an_item_that_reads_back(r, text):
+    assert print_rep(r) == text and print_rep(parse_rep(text)) == text
+    assert rep_from_json(json.dumps(rep_to_json(r))) == parse_rep(text)
 
 
 def test_a_broken_pair_names_a_deep_tree_by_class_and_base():
@@ -790,6 +828,41 @@ def test_pickle_and_deepcopy_take_a_tree_of_any_depth(extra):
         assert len(nodes) == len(distinct_nodes(t)) and not any(getattr(s, "_shaped", False) for s in nodes)
     for s in odd_treps() + [TRep(2, ((TRep(3, 2), TRep(2, 1)),))]:  # hand-built shapes too
         assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
+
+
+def copied(t):
+    """Tree t built afresh at each occurrence of each node, recursing once per
+    level: the copy shares no node with t, nor within itself."""
+    if type(t.body) is not tuple:
+        return TRep(t.base, t.body)
+    return TRep(t.base, tuple([(copied(e), copied(c)) for e, c in t.body]))
+
+
+@pytest.mark.parametrize("x", [10**20 + 3, 10**60 + 1, 10**99 + 12345])
+@pytest.mark.parametrize("k", [2, 3])
+def test_trees_that_share_sub_trees_differently_compare_and_hash_alike(x, k):
+    t = to_total(x, k)
+    u = copied(t)
+    assert len(distinct_nodes(u)) > len(distinct_nodes(t))  # t shares its equal sub-trees, u none
+    assert t == u and u == t and hash(t) == hash(u)
+    assert t != to_total(x + 1, k) and u != to_total(x + 1, k)
+
+
+def test_pickle_keeps_a_tree_with_equal_but_distinct_sub_trees():
+    a, b = to_total(100, 2), to_total(100, 2)
+    t = TRep(2, ((a, TRep(2, 1)), (b, TRep(2, 0))))
+    assert a is not b
+    for u in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert u == t and hash(u) == hash(t)
+        assert u.body[0][0] is u.body[1][0]  # what was equal is shared
+
+
+def test_a_tree_with_an_unhashable_body_raises_type_error():
+    for t in (TRep(2, [1]), TRep(2, ((TRep(2, 1), TRep(2, [1])),))):
+        for call in (lambda: t == t, lambda: t == TRep(2, 1), lambda: hash(t), lambda: pickle.dumps(t),
+                     lambda: copy.deepcopy(t)):
+            with pytest.raises(TypeError, match="unhashable"):
+                call()
 
 
 def test_repr_prints_a_tree_as_deep_as_before():

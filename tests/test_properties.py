@@ -2,19 +2,39 @@
 order, and the soundness of every cutoff against a naive evaluator with a
 larger budget;
 the correspondence's inverse, predecessor, membership and order on the
-images of generated values; and the round trip of a compressed chain
-through its text.
+images of generated values; the round trip of a compressed chain through
+its text; and every consumer of a rep on hand-built bodies of any shape.
 
 Deterministic: each test runs derandomized, with a fixed number of examples
 and no example database.
 """
 
+import copy
+import json
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_eval import naive_iter
+from test_frep import reference_eq
 
 from grzseq.correspond import L_inverse, Q_pred, in_D, o_map
-from grzseq.frep import FRep, TRep, compare, decode, decode_total, encode, shift_total_value, shift_value, to_total
+from grzseq.frep import (
+    FRep,
+    TRep,
+    compare,
+    decode,
+    decode_total,
+    encode,
+    parse_rep,
+    print_rep,
+    rep_from_json,
+    rep_to_json,
+    shift_total_value,
+    shift_value,
+    to_total,
+    validate,
+)
 from grzseq.grzeval import Exact, ExceedsCap, climb, eval_F, eval_F_iter, exceeds, fold, in_relation_R
 from grzseq.order import Ordering
 from grzseq.ordinals import ZERO, Ordinal, from_int
@@ -236,3 +256,69 @@ def test_compressed_chain_text_reads_back(alphas, c):
     read = parse_chain_text(text)
     assert read == list(out.entries)
     assert [a.terms for a in read] == [a.terms for a in out.entries] and chain_to_text(read) == text
+
+
+# ---------------------------------------------------------------------------
+# Shapes: hand-built reps of any body
+
+
+odd_items = st.sampled_from([False, True, None, "", "xy", -5, -2**70, 2**70])
+
+
+def _pair_lists(items):
+    return st.lists(st.tuples(items, items), min_size=1, max_size=3).map(tuple)
+
+
+def _bodies(items):
+    # a pair list, an atom, a list or tuple of up to three items, or an odd item
+    seqs = st.tuples(st.booleans(), st.lists(items, max_size=3)).map(lambda b: tuple(b[1]) if b[0] else b[1])
+    return st.one_of(_pair_lists(items), st.integers(-1, 3), seqs, odd_items)
+
+
+def _shapes(levels):
+    # bodies whose items nest reps of bases 2-3 this many levels deep, most
+    # items small numbers or reps, so that a good share of bodies print
+    items = st.integers(-1, 4)
+    for _ in range(levels):
+        bodies = _bodies(items)
+        items = st.one_of(st.integers(0, 4), st.integers(-1, 4), odd_items, st.builds(FRep, st.integers(2, 3), bodies),
+                          st.builds(TRep, st.integers(2, 3), bodies))
+    return _pair_lists(items) | _bodies(items)
+
+
+def answers_or_refuses(call):
+    try:
+        call()
+    except ValueError:  # RepError and ParseError are ValueErrors
+        pass
+
+
+def hashable(v):
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
+
+
+@derandomized(150)
+@given(st.sampled_from([FRep, TRep]), st.integers(2, 3), _shapes(2), st.integers(0, 100))
+def test_every_consumer_answers_or_refuses_a_hand_built_shape(cls, base, body, cap):
+    r = cls(base, body)
+    for call in (lambda: decode(r, cap), lambda: decode_total(r, cap), lambda: validate(r),
+                 lambda: compare(r, encode(5, base))):
+        answers_or_refuses(call)
+    for write, read in ((print_rep, parse_rep), (rep_to_json, rep_from_json)):
+        try:
+            out = write(r)
+        except ValueError:
+            continue
+        read(out)  # whatever a printer writes, its reader reads back
+        if write is rep_to_json:
+            read(json.dumps(out))
+    if cls is TRep and hashable(body):
+        kids = [v for p in body if type(p) is tuple for v in p if type(v) is TRep] if type(body) is tuple else []
+        for s in (r, TRep(base, body), TRep(2, 1), to_total(5, base), *kids):
+            assert (r == s) == reference_eq(r, s) == (s == r)
+        for u in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert u == r and hash(u) == hash(r)
