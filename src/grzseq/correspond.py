@@ -21,6 +21,7 @@ by the slowdown construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import sub
 
 from .frep import encode_pairs
@@ -289,22 +290,38 @@ def g_window(n: int, k: int, x: int, count: int) -> list[Ordinal]:
     """[g(n, k, y) for y in range(x, x + count)], the arguments checked once.
 
     The ranks of y < k share one exponent object (n itself), and the ranks
-    from F_n(k) on are ZERO; count 0 gives the empty window.
-    """
-    check_nat("base", k, 2)
-    for v in (n, x, count):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError("slot count and value must be non-negative integers")
-    stop = x + count
-    if n == 0:
-        return [from_int(max(0, (k + 1) - y)) for y in range(x, stop)]
-    e = from_int(n)
-    out = [omega_pow(e, k - y) for y in range(x, min(k, stop))]
-    exps = list(map(from_int, range(n - 1, -1, -1))) if k < stop else ()  # the profile part's: n-1, ..., 0
-    for y in range(max(k, x), stop):
-        if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y
-            out += [ZERO] * (stop - y)
-            break
-        j, m = _counts(y, n, k)
-        out.append(Ordinal(tuple(zip(exps, map(sub, m, j)))))  # the flip m_q - j_q
+    from F_n(k) on are ZERO; count 0 gives the empty window.  The one-window
+    case of ``g_windows``."""
+    return g_windows(n, ((k, x, count),))[0]
+
+
+def g_windows(n: int, windows: Iterable[tuple[int, int, int]]) -> list[list[Ordinal]]:
+    """[g_window(n, k, x, count) for k, x, count in windows], each window
+    checked as ``g_window`` checks it: the blocks of a slowdown.  A rank
+    below the base, w^n * (k - y), is one object per coefficient for the
+    call, so windows at neighbouring bases share theirs; no window, no check."""
+    below, out = {}, []  # below: k - y -> w^n * (k - y)
+    for k, x, count in windows:
+        check_nat("base", k, 2)
+        for v in (n, x, count):
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError("slot count and value must be non-negative integers")
+        stop = x + count
+        if n == 0:
+            out.append([from_int(max(0, (k + 1) - y)) for y in range(x, stop)])
+            continue
+        e, ranks = from_int(n), []
+        for c in range(k - x, max(0, k - stop), -1):  # y = k - c < k
+            r = below.get(c)
+            if r is None:
+                r = below[c] = omega_pow(e, c)
+            ranks.append(r)
+        exps = list(map(from_int, range(n - 1, -1, -1))) if k < stop else ()  # the profile part's: n-1, ..., 0
+        for y in range(max(k, x), stop):
+            if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y
+                ranks += [ZERO] * (stop - y)
+                break
+            j, m = _counts(y, n, k)
+            ranks.append(Ordinal(tuple(zip(exps, map(sub, m, j)))))  # the flip m_q - j_q
+        out.append(ranks)
     return out

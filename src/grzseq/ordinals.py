@@ -219,9 +219,24 @@ def coeff_measure(a: Ordinal) -> int:
 
 
 def mul_omega_omega(a: Ordinal) -> Ordinal:
-    """w^w * a: every exponent gains a leading w (order-preserving)."""
-    # e -> w + e is strictly increasing, so the exponents still fall
-    return _sum(tuple((add(OMEGA, e), c) for e, c in a.terms))
+    """w^w * a (order-preserving): the one-element case of ``lift_each``."""
+    return lift_each((a,))[0]
+
+
+def lift_each(alphas: Iterable[Ordinal]) -> list[Ordinal]:
+    """[mul_omega_omega(a) for a in alphas]: every exponent e gains a leading
+    w, and each exponent object is lifted to w + e once, in a table by id that
+    keeps it beside its lift.  The lifted entries of a slowdown."""
+    lifts, out = {}, []
+    for a in alphas:
+        terms = []
+        for e, c in a.terms:  # e -> w + e is strictly increasing, so the exponents still fall
+            lift = lifts.get(id(e))
+            if lift is None:
+                lift = lifts[id(e)] = (e, add(OMEGA, e))
+            terms.append((lift[1], c))
+        out.append(_sum(tuple(terms)))
+    return out
 
 
 def omega_tower(n: int) -> Ordinal:
@@ -257,9 +272,9 @@ def left_subtract_omega(e: Ordinal) -> Ordinal:
 #
 # A chain file holds one ordinal per line; blank lines and '#' comments are
 # ignored.  Reading or writing one keeps a table for the call: the reader's
-# builds each sub-term the lines share once, and the writer's prints the
-# head "w^(E)*" of each distinct exponent once.  One ordinal is the one-line
-# case.
+# builds each sub-term the lines share once, and the writer's formats the
+# head "w^(E)*" of each distinct exponent and the text of each distinct term
+# tuple once.  One ordinal is the one-line case.
 
 
 def _key_text(key: tuple) -> str:
@@ -282,17 +297,22 @@ def _key_text(key: tuple) -> str:
 
 def _print(a: Ordinal, heads: dict) -> str:
     # a term prints as its exponent's head ("" for exponent 0) and then its
-    # coefficient.  Heads are keyed by the exponent's id, as the rank terms
-    # of slowdown entries are fresh tuples over shared exponents; the table
-    # keeps each exponent beside its head, so no other object takes its id
+    # coefficient.  The table keys by id each term tuple to its text, as a
+    # slowdown's blocks share their lifted and rank terms, and each exponent
+    # to its head, as the reader's terms are fresh tuples over shared
+    # exponents.  It keeps each object beside its text, so no other takes its id
     if not a.terms:
         return "0"
     out = []
-    for e, c in a.terms:
-        head = heads.get(id(e))
-        if head is None:
-            head = heads[id(e)] = (e, f"w^({_key_text(e.key)})*" if e.terms else "")
-        out.append(f"{head[1]}{c}")
+    for t in a.terms:
+        text = heads.get(id(t))
+        if text is None:
+            e, c = t
+            head = heads.get(id(e))
+            if head is None:
+                head = heads[id(e)] = (e, f"w^({_key_text(e.key)})*" if e.terms else "")
+            text = heads[id(t)] = (t, f"{head[1]}{c}")
+        out.append(text[1])
     return "+".join(out)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .correspond import g as rank_g, g_window
+from .correspond import g as rank_g, g_windows
 from .grzeval import exceeds
 from .order import Record, check_nat
 from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
@@ -30,7 +30,7 @@ from .ordinals import (  # the chain-file reader and writer sit beside the ordin
     add_each,
     chain_to_text,
     coeff_measure,
-    mul_omega_omega,
+    lift_each,
     omega_pow,
     parse_chain_text,
 )
@@ -85,7 +85,8 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
             )
 
     ell = max(c, measures[0])
-    target = mul_omega_omega(alphas[0])
+    lifted = lift_each(alphas)  # w^w * a_k, each distinct exponent lifted once
+    target = lifted[0]
     tower, t = ONE, 0
     while tower <= target:
         tower, t = omega_pow(tower), t + 1
@@ -102,25 +103,38 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
             f"tower prefix (length {ell}) already covers every index "
             f"decomposable in this prefix (total measure {total})"
         )
-    start = 0
+    windows, start = [], 0
     for k in range(len(alphas) - 1):  # block k: i = start + x with x < C(a_{k+1})
         start += measures[k]  # C(a_0) + ... + C(a_k)
-        # w^w * a_k + rank: every exponent of w^w * a_k is at least w and
-        # every exponent of the rank is finite, so add joins the two keys
         lo = max(0, ell - start)
-        entries += add_each(mul_omega_omega(alphas[k]), g_window(n, max(2, k), lo, max(0, measures[k + 1] - lo)))
+        windows.append((max(2, k), lo, max(0, measures[k + 1] - lo)))
+    # w^w * a_k + rank: every exponent of w^w * a_k is at least w and every
+    # exponent of the rank is finite, so add joins the two keys
+    for a, ranks in zip(lifted, g_windows(n, windows)):
+        entries += add_each(a, ranks)
     return SlowChain(tuple(entries), ell, height, note)
 
 
 def verify_slow(s: SlowChain | Iterable[Ordinal]) -> SlowReport:
     """Check strict descent and the coefficient bound C(entry_i) <= i + 1."""
-    # each entry's key read once: keys order as the entries do, and the
-    # largest token of a key is its coefficient measure C (as coeff_measure)
-    keys = [a.key for a in (s.entries if isinstance(s, SlowChain) else s)]
+    # each entry's key read once, as keys order as the entries do.  C is the
+    # largest of an entry's coefficients and its exponents' C, each taken once
+    # per exponent object, kept by id beside the exponent itself
+    entries = list(s.entries if isinstance(s, SlowChain) else s)
+    keys = [a.key for a in entries]
     violations = [f"entries {i} and {i + 1} do not descend"
                   for i, (a, b) in enumerate(zip(keys, keys[1:])) if not b < a]
-    for i, key in enumerate(keys):
-        m = max(key)
+    measures = {}
+    for i, a in enumerate(entries):
+        m = 0
+        for e, c in a.terms:
+            if c > m:
+                m = c
+            known = measures.get(id(e))
+            if known is None:
+                known = measures[id(e)] = (e, coeff_measure(e))
+            if known[1] > m:
+                m = known[1]
         if m > i + 1:
             violations.append(f"entry {i} has coefficient measure {m} > {i + 1}")
     return SlowReport(not violations, tuple(violations))
