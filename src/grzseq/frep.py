@@ -140,35 +140,35 @@ class ValidationReport(Record):
 # Encoding
 
 
-def _step(x: int, base: int) -> tuple[int, int, int]:
-    # for 2 <= base < x: the least e with x < F_{e+1}(base), the largest i
-    # with F_e^(i)(base) <= x, and F_e^(i)(base)
-    if x < 2 * base:
-        return 0, x - base, x
-    # base >= bitlen(x) gives F_2(base) >= 2^base > x without building base << base
-    if base >= x.bit_length() or x < base << base:
-        i = (x // base).bit_length() - 1
-        return 1, i, base << i
-    # one climb per level: base iterates of F_e make F_{e+1}(base), so a
-    # climb that reaches them goes on at F_{e+1} from the value it holds.
-    # F_e(y) >= 2^y for e >= 2, so there are at most about log* x steps
-    e, i, y = 2, 0, base
-    while True:
-        j, y = climb(e, y, x, base - i)
-        if i + j < base:
-            return e, i + j, y
-        e, i = e + 1, 1
-
-
 def _pairs(x: int, k: int) -> Pairs:
-    # the pairs of x >= k at base k, arguments unchecked
+    # the pairs of x >= k at base k, arguments unchecked, in one loop.  Each
+    # pass, for 2 <= base < x, takes the least e with x < F_{e+1}(base) and
+    # the largest i with F_e^(i)(base) <= x, then goes on from F_e^(i)(base)
     if x == k:
         return ((0, 0),)
     pairs = []
     base = k
     while x > base:
-        e, i, base = _step(x, base)
-        pairs.append((e, i))
+        if x < 2 * base:
+            pairs.append((0, x - base))
+            break
+        # base >= bitlen(x) gives F_2(base) >= 2^base > x without building base << base
+        if base >= x.bit_length() or x < base << base:
+            i = (x // base).bit_length() - 1
+            pairs.append((1, i))
+            base <<= i
+            continue
+        # one climb per level: base iterates of F_e make F_{e+1}(base), so a
+        # climb that reaches them goes on at F_{e+1} from the value it holds.
+        # F_e(y) >= 2^y for e >= 2, so there are at most about log* x steps
+        e, i, y = 2, 0, base
+        while True:
+            j, y = climb(e, y, x, base - i)
+            if i + j < base:
+                break
+            e, i = e + 1, 1
+        pairs.append((e, i + j))
+        base = y
     return tuple(pairs)
 
 
@@ -326,20 +326,21 @@ def compare(a: FRep, b: FRep) -> Ordering:
 
 
 def _shift_component(v: int, k: int, m: int, cap: int, hereditary: bool, shifted: dict) -> int | None:
-    if v < k:
-        return v
+    # v >= k: a value below the base shifts to itself, and no caller passes one
     if v not in shifted:
         shifted[v] = fold(_shifted_pairs(v, k, m, cap, hereditary, shifted), m, cap)
     return shifted[v]
 
 
 def _shifted_pairs(v: int, k: int, m: int, cap: int, hereditary: bool, shifted: dict):
-    # lazily, for fold: a count is shifted only once its exponent fits the cap
+    # lazily, for fold: a count is shifted only once its exponent fits the cap.
+    # Components below the base are their own shifts, so they pass as they are
     for e, c in _pairs(v, k):
-        e2 = _shift_component(e, k, m, cap, hereditary, shifted)
-        if hereditary and e2 is not None:
+        if e >= k:
+            e = _shift_component(e, k, m, cap, hereditary, shifted)
+        if hereditary and c >= k and e is not None:
             c = _shift_component(c, k, m, cap, hereditary, shifted)
-        yield e2, c
+        yield e, c
 
 
 def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
@@ -347,7 +348,7 @@ def _shift(x: int, k: int, m: int, cap: int, hereditary: bool) -> BoundedNat:
     check_nat("to-base", m, k)
     check_nat("value", x)
     check_nat("cap", cap)
-    v = _shift_component(x, k, m, cap, hereditary, {})
+    v = x if x < k else _shift_component(x, k, m, cap, hereditary, {})
     return Exact(v) if v is not None else ExceedsCap(cap)
 
 
@@ -404,20 +405,34 @@ def to_total(x: int, k: int) -> TRep:
     """Represent x with both exponents and counts recursively represented."""
     check_nat("base", k, 2)
     check_nat("value", x)
-    # each distinct sub-value is encoded once, then its tree is built once, in
-    # increasing order (the components of a pair form lie below its value),
-    # so equal sub-trees are shared (TRep is frozen).  Trees are about half
-    # as deep as x has bits, so neither pass recurses.
+    if x < k:
+        return _built(TRep, k, x, False)
+    # each distinct sub-value >= k is encoded once, then its tree is built
+    # once, in increasing order (the components of a pair form lie below its
+    # value), and each atom on its first use, so equal sub-trees are shared
+    # (TRep is frozen).  Trees are about half as deep as x has bits, so
+    # neither pass recurses.
     pairs, todo = {}, [x]
     while todo:
         v = todo.pop()
         if v not in pairs:
-            pairs[v] = p = _pairs(v, k) if v >= k else ()
+            pairs[v] = p = _pairs(v, k)
             for e, c in p:
-                todo += e, c
+                if e >= k and e not in pairs:
+                    todo.append(e)
+                if c >= k and c not in pairs:
+                    todo.append(c)
     built = {}
     for v in sorted(pairs):
-        built[v] = _built(TRep, k, tuple([(built[e], built[c]) for e, c in pairs[v]]) if v >= k else v, False)
+        body = []
+        for e, c in pairs[v]:
+            # every value >= k below v is built, so a component that is not is an atom
+            if e not in built:
+                built[e] = _built(TRep, k, e, False)
+            if c not in built:
+                built[c] = _built(TRep, k, c, False)
+            body.append((built[e], built[c]))
+        built[v] = _built(TRep, k, tuple(body), False)
     return built[x]
 
 

@@ -1,7 +1,8 @@
 """The hereditary codec that shares sub-values within a call, and the kernel
 that iterates F_2 in one loop, against the bodies they replaced: equal trees
 with identical text and JSON, identical shift answers, and fold answers that
-match a budgeted naive evaluator."""
+match a budgeted naive evaluator.  The shifts also stay lazy: a count past
+the cap is never encoded."""
 
 import json
 import random
@@ -10,7 +11,8 @@ import pytest
 
 from naive_eval import naive_iter
 
-from grzseq.frep import TRep, encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
+from grzseq import frep
+from grzseq.frep import TRep, encode, encode_pairs, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from grzseq.grzeval import Exact, ExceedsCap, eval_F, eval_F_iter, fold
 
 
@@ -76,6 +78,11 @@ def bigints(digits=(30, 60, 100, 200), each=2):
     return [rng.randrange(10 ** (d - 1), 10**d) for d in digits for _ in range(each)]
 
 
+# 200 values from the upper part of the acceptance range, where the
+# benchmark's codec windows sit
+SWEEP_RANGE = random.Random(25).sample(range(20_000, 100_001), 200)
+
+
 def same_tree(a, b):
     """a == b without recursion: a tree is about half as deep as its value
     has bits, and == recurses several frames per level."""
@@ -97,7 +104,7 @@ def same_tree(a, b):
 @pytest.mark.parametrize("k", BASES)
 def test_to_total_matches_reference(k):
     # the recursive reference reaches 200 digits, == and rep_to_json 100
-    for x in [*range(0, 200), *bigints()]:
+    for x in [*range(0, 200), *SWEEP_RANGE, *bigints()]:
         t, want = to_total(x, k), ref_to_total(x, k)
         assert same_tree(t, want), (x, k)
         assert print_rep(t) == print_rep(want)
@@ -128,12 +135,37 @@ SHIFT_CAPS = [10**7, 10**30, 2**2048]
 
 
 @pytest.mark.parametrize("cap", SHIFT_CAPS, ids=["1e7", "1e30", "2^2048"])
-@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("k", range(2, 7))
 def test_shift_matches_reference(k, cap):
     # the recursive reference reaches 100 digits
-    for x in [*range(0, 300), *bigints((30, 60, 100))]:
+    for x in [*range(0, 300), *SWEEP_RANGE, *bigints((30, 60, 100))]:
         for shift, hereditary in ((shift_value, False), (shift_total_value, True)):
             assert shift(x, k, k + 1, cap) == ref_shift(x, k, k + 1, cap, hereditary), (x, k, hereditary)
+
+
+def encoded_by(monkeypatch, call):
+    """The values whose pairs frep's search was asked for while call ran."""
+    encoded, search = [], frep._pairs
+    monkeypatch.setattr(frep, "_pairs", lambda v, k: encoded.append(v) or search(v, k))
+    call()
+    monkeypatch.setattr(frep, "_pairs", search)
+    return encoded
+
+
+def test_shift_encodes_no_count_past_the_cap(monkeypatch):
+    # 50000 = [(3,1),(1,4),(0,17232)]_2.  At base 3 its first pair reads
+    # F_4(3), past the cap, so fold stops there and the count 17232 is
+    # never encoded, by either shift
+    assert encode_pairs(50000, 2) == ((3, 1), (1, 4), (0, 17232))
+    for shift in shift_value, shift_total_value:
+        out = []
+        encoded = encoded_by(monkeypatch, lambda: out.append(shift(50000, 2, 3, 10**7)))
+        assert out == [ExceedsCap(10**7)]
+        assert 50000 in encoded and 17232 not in encoded, (shift, encoded)
+    # under the cap the hereditary shift encodes the count, the plain one not
+    assert encode_pairs(20000, 3) == ((2, 1), (1, 9), (0, 7712))
+    assert 7712 in encoded_by(monkeypatch, lambda: shift_total_value(20000, 3, 4, 10**7))
+    assert 7712 not in encoded_by(monkeypatch, lambda: shift_value(20000, 3, 4, 10**7))
 
 
 # ---------------------------------------------------------------------------

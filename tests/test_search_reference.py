@@ -130,6 +130,44 @@ def test_encode_matches_the_two_loop_search():
             assert encode(x, k).pairs == ref_pairs(x, k), (x, k)
 
 
+THRESHOLD_LIMIT = 10**300
+
+
+def iterates(k):
+    """Every F_e^(i)(k) up to THRESHOLD_LIMIT for e = 1..3: the bases the
+    search can stand on after a run of pairs of one exponent."""
+    found = set()
+    for e in (1, 2, 3):
+        y = k
+        while True:
+            found.add(y)
+            v = eval_F(e, y, THRESHOLD_LIMIT)
+            if not isinstance(v, Exact):
+                break
+            y = v.value
+    return found
+
+
+def threshold_values(k):
+    """Where the search's branches meet, from base k and from each iterate b
+    of k: b, x = 2b, x = b << b, and the first and last x with bitlen(x) = b,
+    each with its neighbours on both sides."""
+    xs = set()
+    for b in iterates(k):
+        marks = [b, 2 * b]
+        if b <= 1000:  # b << b and 2^b stay near THRESHOLD_LIMIT
+            marks += [b << b, 1 << (b - 1), (1 << b) - 1]
+        xs.update(mark + d for mark in marks for d in (-1, 0, 1))
+    return sorted(x for x in xs if x >= k)
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_pairs_at_the_branch_thresholds_match_the_two_loop_search(k):
+    xs = threshold_values(k)
+    assert {2 * k, k << k, 1 << (k - 1), (1 << k) - 1} <= set(xs)
+    assert pair_mismatches(k, xs) == []
+
+
 # ---------------------------------------------------------------------------
 # The kernel
 
