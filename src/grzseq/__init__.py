@@ -63,6 +63,7 @@ _EXPORTS = {
     "ordinal_from_json": ("ordinals", "ordinal_from_json"),
     "ordinal_to_json": ("ordinals", "ordinal_to_json"),
     "parse_ordinal": ("ordinals", "parse_ordinal"),
+    "predecessor": ("ordinals", "predecessor"),
     "print_ordinal": ("ordinals", "print_ordinal"),
     "L_inverse": ("correspond", "L_inverse"),
     "MembershipReport": ("correspond", "MembershipReport"),

@@ -17,8 +17,7 @@ import argparse
 import os
 import sys
 
-# every command needs these three modules; each command imports the rest
-from .frep import encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
+# every command needs these two modules; each command imports the rest
 from .grzeval import CapExceededError, Exact
 from .order import ParseError, nat
 
@@ -66,6 +65,8 @@ def _default_cap() -> int:
 
 
 def _cmd_repr(args) -> int:
+    from .frep import encode, print_rep, rep_to_json, to_total
+
     r = to_total(args.x, args.base) if args.total else encode(args.x, args.base)
     if args.json:
         _emit(rep_to_json(r))
@@ -75,6 +76,8 @@ def _cmd_repr(args) -> int:
 
 
 def _cmd_shift(args) -> int:
+    from .frep import shift_total_value, shift_value
+
     shift = shift_total_value if args.hereditary else shift_value
     out = shift(args.x, args.src, args.dst, args.cap)
     if args.json:
@@ -85,6 +88,7 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    from .frep import print_rep
     from .ordinals import print_ordinal
     from .seq import run, trace_to_json
 

@@ -27,7 +27,7 @@ from operator import sub
 from .frep import encode_pairs
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, climb, exceeds
 from .order import Record, check_nat
-from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow
+from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow, predecessor
 
 
 class NotInDError(ValueError):
@@ -183,6 +183,24 @@ def _membership_bound(a: Ordinal, k: int) -> int:
     return max(4, k, coeff_measure(a)) + 1
 
 
+# the skeleton values 0..15 as records, built once: records are immutable, so
+# every report shares them.  A report's fields are set through the slots'
+# own setters, as frep._built sets a rep's
+_EXACT = tuple(map(Exact, range(16)))
+_new = object.__new__
+_set_member, _set_base, _set_skeleton, _set_reason = (
+    getattr(MembershipReport, f).__set__ for f in MembershipReport._fields)
+
+
+def _report(member: bool, k: int, skeleton, reason) -> MembershipReport:
+    r = _new(MembershipReport)
+    _set_member(r, member)
+    _set_base(r, k)
+    _set_skeleton(r, skeleton)
+    _set_reason(r, reason)
+    return r
+
+
 def in_D(a: Ordinal, k: int) -> MembershipReport:
     """Decide whether a is the image of some number at base k, structurally.
 
@@ -191,16 +209,24 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
     _check_ordinal(a)
     check_nat("base", k, 2)
     if a.is_zero:
-        return MembershipReport(True, k, ((Exact(0), 0),), None)
+        return _report(True, k, ((_EXACT[0], 0),), None)
     bound = _membership_bound(a, k)
     try:
         entries, _ = _skeleton(a, k, bound)
     except NotInDError as err:
-        return MembershipReport(False, k, None, err.reason)
-    skel = tuple(
-        (Exact(v) if v is not None else ExceedsCap(bound), c) for v, c in entries
-    )
-    return MembershipReport(True, k, skel, None)
+        return _report(False, k, None, err.reason)
+    over = ExceedsCap(bound)
+    skel = tuple([(over if v is None else _EXACT[v] if v < 16 else Exact(v), c) for v, c in entries])
+    return _report(True, k, skel, None)
+
+
+def _preimage(a: Ordinal, k: int, cap: int) -> int | None:
+    # L_inverse's checks of k and the cap, and its walk, for an a already
+    # checked: a's preimage, None when it is above the cap
+    check_nat("base", k, 2)
+    check_nat("cap", cap)
+    _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
+    return v if v is not None and v <= cap else None
 
 
 def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
@@ -212,10 +238,8 @@ def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     ValueError.
     """
     _check_ordinal(a)
-    check_nat("base", k, 2)
-    check_nat("cap", cap)
-    _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
-    return Exact(v) if v is not None and v <= cap else ExceedsCap(cap)
+    v = _preimage(a, k, cap)
+    return ExceedsCap(cap) if v is None else Exact(v)
 
 
 def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:
@@ -227,10 +251,12 @@ def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:
     _check_ordinal(a)
     if a.is_zero:
         raise ValueError("the zero ordinal has no predecessor inside D_k")
-    x = L_inverse(a, k, cap)
-    if isinstance(x, ExceedsCap):
+    x = _preimage(a, k, cap)
+    if x is None:
         raise CapExceededError(cap)
-    return _image(x.value - 1, k, False)  # x > k, as a > 0 = o_k(k)
+    if not a.terms[-1][0].terms:  # a successor: x ends in (0, c), c >= 1, and x - 1 in (0, c - 1)
+        return predecessor(a)  # every other pair kept, so Q_k(a) = a - 1 with no encode
+    return _image(x - 1, k, False)  # x > k, as a > 0 = o_k(k)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,17 @@ class TRep(FRep):
     def __eq__(self, other):
         if other.__class__ is not TRep:
             return NotImplemented
+        # the roots decide without numbering: unequal bases, two atoms, or
+        # pair lists of unequal length.  The same object, and an atom against
+        # a pair list, are numbered: a tree with an unhashable body raises
+        # TypeError there, as its hash does
+        a, b = self.body, other.body
+        if self.base != other.base:
+            return False
+        if type(a) is int and type(b) is int:
+            return a == b
+        if type(a) is tuple and type(b) is tuple and len(a) != len(b):
+            return False
         return _numbered(self, numbers := {}) == _numbered(other, numbers, grow=False)
 
     def __hash__(self):

@@ -7,9 +7,9 @@ sum is 0.  Construction normalizes nothing and validates everything, so an
 the normal form themselves skip that second check.
 
 Supported arithmetic is what descending-chain bookkeeping needs: comparison,
-addition, left multiplication by w^w, towers w_0 = 1, w_{n+1} = w^{w_n},
-left subtraction of a single w, and the hereditary maximal-coefficient
-measure C.
+addition, the predecessor of a successor, left multiplication by w^w,
+towers w_0 = 1, w_{n+1} = w^{w_n}, left subtraction of a single w, and the
+hereditary maximal-coefficient measure C.
 """
 
 from __future__ import annotations
@@ -202,6 +202,19 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if i < len(terms) and terms[i][0].key == lk:
         return _sum(terms[:i] + ((lead, terms[i][1] + b.terms[0][1]),) + b.terms[1:])
     return _sum(terms[:i] + b.terms) if i else b  # i = 0: all of a absorbed
+
+
+def predecessor(a: Ordinal) -> Ordinal:
+    """a - 1 for a successor a, whose last term is finite: that term's
+    coefficient one less, or the term dropped at coefficient 1.  Zero and
+    limit ordinals raise ValueError."""
+    terms = a.terms
+    if not terms or terms[-1][0].terms:
+        raise ValueError(f"{'zero' if not terms else 'a limit ordinal'} has no predecessor")
+    c = terms[-1][1]  # the key ends (..., OPEN, CLOSE, c, CLOSE)
+    if c > 1:
+        return _ordinal(terms[:-1] + ((ZERO, c - 1),), a.key[:-2] + (c - 1, CLOSE))
+    return _ordinal(terms[:-1], a.key[:-4] + (CLOSE,))
 
 
 def add_each(a: Ordinal, bs: Iterable[Ordinal]) -> list[Ordinal]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .correspond import g as rank_g, g_windows
 from .grzeval import exceeds
 from .order import Record, check_nat
 from .ordinals import (  # the chain-file reader and writer sit beside the ordinal text form
@@ -49,10 +48,12 @@ def slow_g(n: int, k: int, x: int) -> Ordinal:
     """The single-function slowdown rank: the windowed assignment at base
     max(2, k), for a caller-chosen hierarchy index n >= 1 bounding the
     function being slowed."""
+    from .correspond import g  # here, not at the top: reading and checking a chain needs no codec
+
     check_nat("hierarchy index", n, 1)
     check_nat("k", k)
     check_nat("x", x)
-    return rank_g(n, max(2, k), x)
+    return g(n, max(2, k), x)
 
 
 def _validate_chain(alphas: Sequence[Ordinal]) -> None:
@@ -71,6 +72,8 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
     end), and indices n whose hierarchy level fails to bound the coefficient
     measures C(a_{k+1}) <= F_n(max(2,k)).
     """
+    from .correspond import g_windows
+
     _validate_chain(alphas)
     check_nat("hierarchy index", n, 1)
     check_nat("constant", c)

@@ -195,6 +195,19 @@ def test_Q_cap_overflow():
         Q_pred(omega_pow(parse_ordinal("w*2")), 2, CAP)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_Q_of_a_limit_image_re_encodes_the_predecessor(k):
+    # F_1^(c)(k) = k*2^c, F_2(k) and F_2^(2)(k): images ending in an infinite
+    # term, so Q_pred takes x - 1 through the encoder, not a - 1
+    f2 = k << k
+    for x in [k << c for c in range(1, k)] + [f2, f2 << f2]:
+        a = o_map(x, k)
+        assert a.terms[-1][0] != ZERO
+        assert Q_pred(a, k, x).key == o_map(x - 1, k).key
+        with pytest.raises(CapExceededError):
+            Q_pred(a, k, x - 1)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_Q_matches_brute_force_max(k):
     images = [o_map(x, k) for x in range(k, 600)]

@@ -133,9 +133,9 @@ IMAGE_RANGES = [(2, 10_001), (3, 10_001), (4, 2_001), (5, 2_001), (6, 2_001)]
 def image_mismatches(k, hi):
     """The x in k..hi-1 whose image, report, inverse or predecessor differs
     from the replaced bodies' (collected, not asserted one by one: the loop
-    is hot).  Past x = k the inverse is checked through Q_pred, which calls
-    L_inverse with the same cap: Q_k(o_k(x)) = o_k(x - 1) holds only if
-    L_k(o_k(x)) = x, as o_k is injective."""
+    is hot).  The inverse is checked at every x, and past x = k the
+    predecessor too: on an image ending in a finite term Q_pred builds
+    a - 1 from a itself, so it checks the inverse only on the others."""
     bad = []
     prev = None
     for x in range(k, hi):
@@ -143,8 +143,8 @@ def image_mismatches(k, hi):
         if not (a.key == want.key and a.terms == want.terms
                 and Ordinal(a.terms).key == a.key  # normal form, checked by the constructor
                 and in_D(a, k) == ref_in_D(a, k)
-                and (L_inverse(a, k, CAP) == Exact(x) if prev is None
-                     else Q_pred(a, k, CAP).key == prev.key)):
+                and L_inverse(a, k, CAP) == Exact(x)
+                and (prev is None or Q_pred(a, k, CAP).key == prev.key)):
             bad.append(x)
         prev = want
     return bad

@@ -24,7 +24,7 @@ EXPORTS = {
     "order": ["Ordering", "ParseError"],
     "ordinals": ["OMEGA", "ONE", "ZERO", "Ordinal", "add", "coeff_measure", "from_int",
                  "left_subtract_omega", "mul_omega_omega", "omega_pow", "omega_tower",
-                 "ordinal_from_json", "ordinal_to_json", "parse_ordinal", "print_ordinal"],
+                 "ordinal_from_json", "ordinal_to_json", "parse_ordinal", "predecessor", "print_ordinal"],
     "correspond": ["L_inverse", "MembershipReport", "NotInDError", "PaddedProfile",
                    "Q_pred", "flip", "g", "in_D", "o_map", "o_map_literal", "profile"],
     "seq": ["CheckReport", "DominationReport", "Outcome", "Phase", "Trace", "TraceStep",
@@ -60,6 +60,17 @@ def test_ord_encode_loads_neither_seq_nor_slowdown():
     loaded = loaded_by("from grzseq import cli\nassert cli.main(['ord', 'encode', '9', '--base', '2']) == 0")
     assert "grzseq.correspond" in loaded
     assert not loaded & {"grzseq.seq", "grzseq.slowdown"}
+
+
+@pytest.mark.parametrize("argv", [["ord", "C", "w*2+3"], ["ord", "compare", "w", "w+1"], ["chain", "verify"]],
+                         ids=" ".join)
+def test_ordinal_commands_load_neither_the_codec_nor_the_correspondence(argv, tmp_path):
+    if argv[0] == "chain":
+        (tmp_path / "chain.txt").write_text("w\n1\n0\n", encoding="utf-8")
+        argv = [*argv, "--input", str(tmp_path / "chain.txt")]
+    loaded = loaded_by(f"from grzseq import cli\nassert cli.main({argv!r}) == 0")
+    want = {"grzseq", "grzseq.cli", "grzseq.grzeval", "grzseq.order", "grzseq.ordinals"}
+    assert {m for m in loaded if m.startswith("grzseq")} == want | ({"grzseq.slowdown"} if "chain" in argv else set())
 
 
 def test_submodules_import_by_name_from_a_fresh_process():

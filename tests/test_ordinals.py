@@ -25,6 +25,7 @@ from grzseq.ordinals import (
     ordinal_from_json,
     ordinal_to_json,
     parse_ordinal,
+    predecessor,
     print_ordinal,
 )
 
@@ -128,6 +129,25 @@ def test_add_laws_on_samples():
         assert compare(s, b) != Ordering.LT  # b <= a + b
     for a, b, c in itertools.product(subset[:12], repeat=3):
         assert add(add(a, b), c) == add(a, add(b, c))
+
+
+@pytest.mark.parametrize("text,want", [("1", "0"), ("2", "1"), ("7", "6"), ("w+1", "w"), ("w+3", "w+2"),
+                                       ("w^(w)*2+w*3+5", "w^(w)*2+w*3+4"), ("w^(w^(2)+1)+w^(3)*2+1", "w^(w^(2)+1)+w^(3)*2")])
+def test_predecessor_lowers_or_drops_the_finite_term(text, want):
+    a, b = predecessor(parse_ordinal(text)), parse_ordinal(want)
+    rebuilt = Ordinal(a.terms)  # the constructor checks the terms and builds the key
+    assert a.key == b.key == rebuilt.key and a.terms == b.terms
+    assert add(a, ONE) == parse_ordinal(text)
+
+
+def test_predecessor_of_one_is_zero():
+    assert predecessor(from_int(1)) == ZERO and predecessor(from_int(1)).key == ZERO.key
+
+
+@pytest.mark.parametrize("a", [ZERO, OMEGA, parse_ordinal("w^w+w")], ids=str)
+def test_predecessor_refuses_zero_and_limits(a):
+    with pytest.raises(ValueError, match="has no predecessor"):
+        predecessor(a)
 
 
 def test_mul_omega_omega_example():

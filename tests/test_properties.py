@@ -216,6 +216,15 @@ def test_Q_pred_of_an_image_is_the_image_of_the_predecessor(x, k, extra):
 
 
 @derandomized(200)
+@given(mapped, st.integers(2, 40))
+def test_Q_pred_key_is_the_key_of_the_predecessor_image(x, k):
+    # nearly every image ends in a finite term, so this is Q_pred's shortcut
+    # a - 1; test_correspond pins the limit images, which re-encode x - 1
+    x += k + 1
+    assert Q_pred(o_map(x, k), k, x).key == o_map(x - 1, k).key
+
+
+@derandomized(200)
 @given(mapped, map_bases)
 def test_images_are_members(x, k):
     assert in_D(o_map(x + k, k), k).member
