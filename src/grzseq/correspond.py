@@ -326,7 +326,14 @@ def g_windows(n: int, windows: Iterable[tuple[int, int, int]]) -> list[list[Ordi
     checked as ``g_window`` checks it: the blocks of a slowdown.  A rank
     below the base, w^n * (k - y), is one object per coefficient for the
     call, so windows at neighbouring bases share theirs; no window, no check."""
-    below, out = {}, []  # below: k - y -> w^n * (k - y)
+    # below: c -> w^n * c, each built once for the call.  col[c - base] is
+    # w^n * c for base < c < base + len(col), a run that each window extends
+    # at its top, as the bases of a slowdown's blocks rise: a window is one
+    # slice of it, and only a c new to col is looked up in below.  A window
+    # that starts at or below base, or past col's top, starts col again at
+    # its own lowest c, so col never holds more than its windows asked for.
+    # col[0] is never read, so no slice stops at index -1
+    below, col, base, out = {}, [None], 0, []
     for k, x, count in windows:
         check_nat("base", k, 2)
         for v in (n, x, count):
@@ -337,11 +344,16 @@ def g_windows(n: int, windows: Iterable[tuple[int, int, int]]) -> list[list[Ordi
             out.append([from_int(max(0, (k + 1) - y)) for y in range(x, stop)])
             continue
         e, ranks = from_int(n), []
-        for c in range(k - x, max(0, k - stop), -1):  # y = k - c < k
-            r = below.get(c)
-            if r is None:
-                r = below[c] = omega_pow(e, c)
-            ranks.append(r)
+        lo, hi = max(1, k - stop + 1), k - x  # the coefficients c = k - y of the window's y < k
+        if lo <= hi:
+            if lo <= base or lo > base + len(col):
+                col, base = [None], lo - 1
+            while (c := base + len(col)) <= hi:
+                r = below.get(c)
+                if r is None:
+                    r = below[c] = omega_pow(e, c)
+                col.append(r)
+            ranks = col[hi - base:lo - base - 1:-1]
         exps = list(map(from_int, range(n - 1, -1, -1))) if k < stop else ()  # the profile part's: n-1, ..., 0
         for y in range(max(k, x), stop):
             if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y

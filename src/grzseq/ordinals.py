@@ -181,8 +181,20 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
 _LT, _EQ, _GT = Ordering.LT, Ordering.EQ, Ordering.GT
 
 
+def _refuse(**args) -> None:
+    # reached only once an attribute read has failed, so an Ordinal pays
+    # nothing for the check; the message is correspond's
+    for name, v in args.items():
+        if not isinstance(v, Ordinal):
+            raise ValueError(f"argument {name} must be an Ordinal, got {v!r}")
+
+
 def compare(a: Ordinal, b: Ordinal) -> Ordering:
-    ka, kb = a.key, b.key
+    try:
+        ka, kb = a.key, b.key
+    except AttributeError:
+        _refuse(a=a, b=b)
+        raise
     if ka == kb:
         return _EQ
     return _LT if ka < kb else _GT
@@ -190,25 +202,34 @@ def compare(a: Ordinal, b: Ordinal) -> Ordering:
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal addition: terms of a below b's leading exponent are absorbed."""
-    if not b.terms:
+    try:
+        terms, bt = a.terms, b.terms
+    except AttributeError:
+        _refuse(a=a, b=b)
+        raise
+    if not bt:
         return a
-    lead = b.terms[0][0]
-    lk, terms = lead.key, a.terms
+    lead = bt[0][0]
+    lk = lead.key
     if terms and terms[-1][0].key > lk:  # nothing absorbed
-        return _ordinal(terms + b.terms, a.key[:-1] + b.key[1:])
+        return _ordinal(terms + bt, a.key[:-1] + b.key[1:])
     i = 0  # exponents compared by key, as the operators would, without their calls
     while i < len(terms) and terms[i][0].key > lk:
         i += 1
     if i < len(terms) and terms[i][0].key == lk:
-        return _sum(terms[:i] + ((lead, terms[i][1] + b.terms[0][1]),) + b.terms[1:])
-    return _sum(terms[:i] + b.terms) if i else b  # i = 0: all of a absorbed
+        return _sum(terms[:i] + ((lead, terms[i][1] + bt[0][1]),) + bt[1:])
+    return _sum(terms[:i] + bt) if i else b  # i = 0: all of a absorbed
 
 
 def predecessor(a: Ordinal) -> Ordinal:
     """a - 1 for a successor a, whose last term is finite: that term's
     coefficient one less, or the term dropped at coefficient 1.  Zero and
     limit ordinals raise ValueError."""
-    terms = a.terms
+    try:
+        terms = a.terms
+    except AttributeError:
+        _refuse(a=a)
+        raise
     if not terms or terms[-1][0].terms:
         raise ValueError(f"{'zero' if not terms else 'a limit ordinal'} has no predecessor")
     c = terms[-1][1]  # the key ends (..., OPEN, CLOSE, c, CLOSE)
@@ -218,22 +239,37 @@ def predecessor(a: Ordinal) -> Ordinal:
 
 
 def add_each(a: Ordinal, bs: Iterable[Ordinal]) -> list[Ordinal]:
-    """[add(a, b) for b in bs], with a's terms and key read once: a block of
-    the slowdown, one lifted entry plus each of its ranks."""
+    """[add(a, b) for b in bs], with a's terms and key read once and each
+    entry built in the loop: a block of the slowdown, one lifted entry plus
+    each of its ranks."""
     terms, head = a.terms, a.key[:-1]
     last = terms[-1][0].key if terms else ()  # () is below every key: nothing to join
-    return [_ordinal(terms + b.terms, head + b.key[1:]) if b.terms and last > b.terms[0][0].key else add(a, b)
-            for b in bs]
+    out = []
+    for b in bs:
+        bt = b.terms
+        if bt and last > bt[0][0].key:  # nothing absorbed: join the terms and the keys
+            r = _new(Ordinal)
+            _set_terms(r, terms + bt)
+            _set_key(r, head + b.key[1:])
+        else:
+            r = add(a, b)
+        out.append(r)
+    return out
 
 
 def coeff_measure(a: Ordinal) -> int:
     """C(a): the largest coefficient occurring hereditarily; C(0) = 0."""
-    return max(a.key)  # markers are <= 0
+    try:
+        key = a.key
+    except AttributeError:
+        _refuse(a=a)
+        raise
+    return max(key)  # markers are <= 0
 
 
 def mul_omega_omega(a: Ordinal) -> Ordinal:
-    """w^w * a (order-preserving): the one-element case of ``lift_each``."""
-    return lift_each((a,))[0]
+    """w^w * a (order-preserving): every exponent e lifted to w + e."""
+    return _sum(tuple([(add(OMEGA, e), c) for e, c in a.terms]))
 
 
 def lift_each(alphas: Iterable[Ordinal]) -> list[Ordinal]:
@@ -339,10 +375,41 @@ def chain_to_text(entries: Iterable[Ordinal]) -> str:
 
 
 def _normal(terms: list, shared: dict) -> Ordinal:
-    # the sum of (exponent, coefficient) terms read left to right, normalized
-    # right to left: a term below the running lead is absorbed, an equal one
-    # merges
-    if len(terms) > 1:
+    # the sum of (exponent, coefficient) terms read left to right, one object
+    # per value for the call: equal exponents already are one object, and
+    # each object built stays in the table, so no id in it is reused.  A lone
+    # term is known by its exponent's id and any coefficient past 1, so a
+    # tower level builds no key; a finite one below 16 is from_int's, as the
+    # sugar w and w^NAT read.  A longer sum is known by its key, the tuple it
+    # keeps, joined in the pass that checks that its exponents fall; terms
+    # that do not fall are normalized first.  No id equals OPEN, a key's first.
+    if len(terms) == 1:
+        e, c = terms[0]
+        if e is ZERO and c < 16:
+            return _SMALL[c]
+        known = id(e) if c == 1 else (id(e), c)
+        a = shared.get(known)
+        if a is None:
+            a = shared[known] = omega_pow(e, c) if e.terms else _finite(c)
+        return a
+    if terms:
+        key, prev = [OPEN], (1,)  # (1,) is above every key, as each starts with OPEN = 0
+        for e, c in terms:
+            ek = e.key
+            if ek >= prev:
+                break
+            key += ek
+            key.append(c)
+            prev = ek
+        else:
+            key.append(CLOSE)
+            key = tuple(key)
+            a = shared.get(key)
+            if a is None:
+                a = shared[key] = _ordinal(tuple(terms), key)
+            return a
+        # exponents that do not fall, normalized right to left: a term below
+        # the running lead is absorbed, an equal one merges
         out = []
         for e, c in reversed(terms):
             if out:
@@ -354,22 +421,8 @@ def _normal(terms: list, shared: dict) -> Ordinal:
                     continue
             out.append((e, c))
         out.reverse()
-        terms = out
-    # one object per sum in the table, known by its exponents' ids and its
-    # coefficients: the exponents of equal text already are one object, and
-    # the object built keeps its exponents, so no id in the table is reused.
-    # A lone term with coefficient 1, each level of a tower, is known by its
-    # exponent's id alone (an int never equals a tuple), which spares the
-    # table a tuple per level.
-    if len(terms) == 1:
-        e, c = terms[0]
-        known = id(e) if c == 1 else (id(e), c)
-    else:
-        known = tuple([(id(e), c) for e, c in terms])
-    a = shared.get(known)
-    if a is None:
-        a = shared[known] = omega_pow(*terms[0]) if len(terms) == 1 else _sum(tuple(terms))
-    return a
+        return _normal(out, shared)
+    return ZERO  # the empty sum
 
 
 def _parse(text: str, shared: dict) -> Ordinal:
@@ -400,7 +453,9 @@ def _parse(text: str, shared: dict) -> Ordinal:
             if tok[:1] == "w" and tok != "w":  # "w^w^(": the w is the exponent
                 raise ParseError("expected ')'" if groups else "trailing input",
                                  offset(text, i + 2) + tok.index("^"))
-            exp = OMEGA if tok == "w" else from_int(number(text, toks, i + 2))
+            # w^w and w^NAT read as the groups w^(w) and w^(NAT) do: one object each
+            n = 1 if tok == "w" else number(text, toks, i + 2)
+            exp = _normal([(ONE if tok == "w" else ZERO, n)] if n else [], shared)
             i += 3
         while True:
             if exp is not None:  # an optional "*NAT"; a zero drops the term

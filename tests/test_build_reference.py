@@ -4,6 +4,7 @@ replaced: equal keys and terms, identical text, the same errors at the same
 offsets, and no table that outlives a call."""
 
 import random
+import re
 
 import pytest
 
@@ -487,3 +488,49 @@ def test_equal_sub_terms_of_a_file_are_one_object(monkeypatch):
                 assert seen.setdefault(e.key, e) is e
                 todo.append(e)
         assert len(seen) > 20
+
+
+# each group: lines of one value, canonical first, then sugared, unsorted and
+# repeated-exponent spellings of it, inner sums included
+MIXED = [
+    ["w^(w^(2)*1+3)*2+w^(1)*4+5", "w^(w^2+3)*2+w*4+5", "7+w^(w^(2)+3)*2+w*4+5",
+     "w^(w^(2)+1+2)*1+w^(w^(2)*1+3)+w*3+w+5"],
+    ["w^(20)*3+w^(2)*1", "w^20*3+w^2", "1+w^(20)*3+w^(2)", "w^(20)+w^(20)*2+w^(1+1)"],
+    ["w^(w^(1)*1)*1", "w^w", "w^(w)", "3+w^w", "w^(w*0+w)"],
+    ["w^(2)*1", "w^2", "1+w^(2)", "w^(1+1)", "w^(2)*0+w^(2)"],
+    ["w^(1)*5", "w*5", "w*2+w*3", "4+w*2+w+w*2"],
+    ["20", "w^(0)*20", "w^0*20", "w^(0)*7+13", "3+17"],
+    ["0", "w^(2)*0", "w*0+0"],
+]
+
+
+def test_a_mixed_file_reads_each_value_as_one_object(monkeypatch):
+    text = "\n".join(line for group in MIXED for line in group) + "\n"
+    read, before = parse_chain_text(text), parent_parse_chain_text(text, monkeypatch)
+    assert [a.key for a in read] == [a.key for a in before]
+    assert [print_ordinal(a) for a in read] == [group[0] for group in MIXED for _ in group]
+    seen = {}  # key -> the one object of that value, over every line and every exponent
+    todo = list(read)
+    while todo:
+        a = todo.pop()
+        assert seen.setdefault(a.key, a) is a, print_ordinal(a)
+        todo += [e for e, _ in a.terms]
+    assert len(seen) == 11  # the seven values of MIXED, and w^(2)+3, w, 2 and 1 below them
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("w^w^(2)", "offset 3: trailing input"),
+    ("w^(2", "offset 4: expected ')'"),
+    ("w^(2)*", "offset 6: expected a number"),
+    ("w^x", "offset 2: expected a number"),
+    ("w^(w^(3)+)", "offset 9: expected a number"),
+    ("w^w*", "offset 4: expected a number"),
+    ("3+w^(w^2+w^(2)*2", "offset 16: expected ')'"),
+    ("w^(3)*2+w^(3)**2", "offset 14: expected a number"),
+    ("w^99999999999999999999999999x", "offset 28: trailing input"),
+    ("w^w^w", "offset 3: trailing input"),
+])
+def test_a_mixed_file_keeps_its_error_offsets(bad, message):
+    lines = [line for group in MIXED for line in group]
+    with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: parse error at {re.escape(message)}$"):
+        parse_chain_text("\n".join([*lines, bad]) + "\n")

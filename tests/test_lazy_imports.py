@@ -73,6 +73,36 @@ def test_ordinal_commands_load_neither_the_codec_nor_the_correspondence(argv, tm
     assert {m for m in loaded if m.startswith("grzseq")} == want | ({"grzseq.slowdown"} if "chain" in argv else set())
 
 
+# every subcommand, with the grzseq modules a fresh process loads to run it
+BASE = {"grzseq", "grzseq.cli", "grzseq.grzeval", "grzseq.order"}
+ORDINAL = BASE | {"grzseq.ordinals"}
+CODEC = BASE | {"grzseq.frep"}
+IMAGE = ORDINAL | {"grzseq.frep", "grzseq.correspond"}
+
+COMMANDS = [
+    (["repr", "9", "--base", "2"], CODEC),
+    (["shift", "5", "--from", "2", "--to", "3"], CODEC),
+    (["seq", "3"], IMAGE | {"grzseq.seq"}),
+    (["ord", "encode", "9", "--base", "2"], IMAGE),
+    (["ord", "compare", "w", "w+1"], ORDINAL),
+    (["ord", "C", "w*2+3"], ORDINAL),
+    (["ord", "inD", "w", "--base", "2"], IMAGE),
+    (["ord", "Q", "w+1", "--base", "2"], IMAGE),
+    (["gn", "2", "3", "1"], IMAGE),
+    (["chain", "slowdown", "--index", "2", "--const", "1"], IMAGE | {"grzseq.slowdown"}),
+    (["chain", "verify"], ORDINAL | {"grzseq.slowdown"}),
+]
+
+
+@pytest.mark.parametrize("argv, want", [pytest.param(a, w, id=" ".join(a)) for a, w in COMMANDS])
+def test_each_command_loads_exactly_its_modules(argv, want, tmp_path):
+    if argv[0] == "chain":
+        (tmp_path / "chain.txt").write_text("w\n1\n0\n", encoding="utf-8")
+        argv = [*argv, "--input", str(tmp_path / "chain.txt")]
+    loaded = loaded_by(f"from grzseq import cli\nassert cli.main({argv!r}) == 0")
+    assert {m for m in loaded if m.startswith("grzseq")} == want
+
+
 def test_submodules_import_by_name_from_a_fresh_process():
     loaded = loaded_by("from grzseq import correspond, frep, grzeval, ordinals, seq, slowdown")
     assert {"grzseq.correspond", "grzseq.seq", "grzseq.slowdown"} <= loaded

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -229,6 +230,21 @@ def test_bools_are_not_ordinal_integers(build):
     # True would print as "True", which no parser reads back
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("bad", ["w", 3, None], ids=repr)
+@pytest.mark.parametrize("call, at", [
+    (lambda x: add(x, ONE), "a"),
+    (lambda x: add(OMEGA, x), "b"),
+    (lambda x: add(x, ZERO), "a"),  # b = 0 alone would hand a back unread
+    (lambda x: compare(x, ONE), "a"),
+    (lambda x: compare(OMEGA, x), "b"),
+    (lambda x: coeff_measure(x), "a"),
+    (lambda x: predecessor(x), "a"),
+], ids=["add a", "add b", "add a + 0", "compare a", "compare b", "coeff_measure", "predecessor"])
+def test_arguments_that_are_no_ordinal_raise_value_error(call, at, bad):
+    with pytest.raises(ValueError, match=rf"^argument {at} must be an Ordinal, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 # ---------------------------------------------------------------------------

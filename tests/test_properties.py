@@ -12,6 +12,7 @@ and no example database.
 import copy
 import json
 import pickle
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from grzseq.frep import (
 )
 from grzseq.grzeval import Exact, ExceedsCap, climb, eval_F, eval_F_iter, exceeds, fold, in_relation_R
 from grzseq.order import Ordering
-from grzseq.ordinals import ZERO, Ordinal, from_int
+from grzseq.ordinals import OMEGA, ONE, ZERO, Ordinal, from_int
 from grzseq.slowdown import chain_to_text, compress, parse_chain_text, verify_slow
 
 
@@ -256,15 +257,55 @@ chains = st.tuples(st.lists(cnf(2), min_size=1, max_size=8, unique=True), st.boo
     lambda c: sorted(c[0], reverse=True) + [ZERO] * c[1])
 
 
+def spelled(a, rng):
+    """Text of a that the printer never writes: the sugar w, w^NAT and w^w,
+    a coefficient 1 left out, a term split in two with equal exponents,
+    zero terms, and smaller terms ahead that the sum absorbs."""
+    if not a.terms:
+        return rng.choice(["0", "w*0", "w^(2)*0+0"])
+    out = []
+    for e, c in a.terms:
+        split = [c] if c == 1 or rng.random() < 0.5 else [c - 1, 1]
+        for part in split:
+            if not e.terms:
+                head = rng.choice(["", "w^0*", "w^(0)*"])
+                out.append(f"{head}{part}" if head or part > 1 or rng.random() < 0.5 else "0+1")
+                continue
+            if e == ONE:
+                head = rng.choice(["w", "w^1", "w^(1)"])
+            elif e.is_finite:
+                head = rng.choice([f"w^{e.as_int()}", f"w^({e.as_int()})"])
+            elif e == OMEGA:
+                head = rng.choice(["w^w", "w^(w)"])
+            else:
+                head = f"w^({spelled(e, rng)})"
+            out.append(head if part == 1 and rng.random() < 0.5 else f"{head}*{part}")
+        if rng.random() < 0.2:
+            out.append(rng.choice(["w*0", "w^(3)*0", "0"]))
+    if a.terms[0][0].terms and rng.random() < 0.5:  # a finite term ahead of an infinite lead is absorbed
+        out.insert(0, rng.choice(["1", "7", "w^(0)*2"]))
+    return "+".join(out)
+
+
 @derandomized(60)
-@given(chains, st.integers(0, 6))
-def test_compressed_chain_text_reads_back(alphas, c):
+@given(chains, st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_compressed_chain_text_reads_back(alphas, c, seed):
     out = compress(alphas, 2, c)
     assert verify_slow(out).ok
     text = chain_to_text(out.entries)
     read = parse_chain_text(text)
     assert read == list(out.entries)
     assert [a.terms for a in read] == [a.terms for a in out.entries] and chain_to_text(read) == text
+    # the same chain spelled as the printer never writes it reads as the same
+    # values, each one object for the call
+    rng = random.Random(seed)  # the spelling's choices: a drawn random would cost a draw each
+    respelled = parse_chain_text("\n".join(spelled(a, rng) for a in out.entries) + "\n")
+    assert [a.terms for a in respelled] == [a.terms for a in read] and chain_to_text(respelled) == text
+    seen, todo = {}, list(respelled)
+    while todo:
+        a = todo.pop()
+        assert seen.setdefault(a.key, a) is a
+        todo += [e for e, _ in a.terms]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ head per exponent.  Equal keys and terms, identical text and reports, the
 same messages for bad arguments, and no table that outlives a call."""
 
 import random
+import time
 
 import pytest
 
@@ -261,6 +262,36 @@ def test_g_windows_is_the_old_window_on_each(seed):
             assert len(ranks) == count and all(same(a, b) for a, b in zip(ranks, want)), (n, k, x, count)
             assert [a.key for a in g_window(n, k, x, count)] == [a.key for a in want]
             assert [a.key for a in ranks] == [g(n, k, y).key for y in range(x, x + count)]
+
+
+def timed(fn, *args):
+    """fn(*args), which must answer in well under a second."""
+    start = time.perf_counter()
+    out = fn(*args)
+    assert time.perf_counter() - start < 0.25, (fn.__name__, args)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_ranks_below_a_huge_base_cost_what_the_window_holds(n):
+    # ranks below k = 10^12 are built as the windows ask for them, never as a
+    # column from 1 up to k: windows of 0-8 ranks, their own, at a neighbouring
+    # base, far below the base, and ones that start the run again
+    def want(k, x, count):  # w^n * (k - y) for each y of the window
+        return [omega_pow(from_int(n), k - y).key for y in range(x, x + count)]
+
+    k = 10**12
+    assert timed(g, n, k, 0).key == want(k, 0, 1)[0]
+    windows = []
+    for count in range(9):
+        for x in (0, 1, 10**6, k - count):
+            assert [r.key for r in timed(g_window, n, k, x, count)] == want(k, x, count)
+            windows += [(k, x, count), (k + 1, x, count)]
+    windows += [(k, 0, 8), (k - 3, 0, 2), (k + 9, 4, 8), (k, 10**6, 8), (k + 2, 10**6 + 1, 8)]
+    got = timed(g_windows, n, windows)
+    assert [[r.key for r in ranks] for ranks in got] == [want(*w) for w in windows]
+    by_key = {}  # one object per coefficient for the call, across every window
+    assert all(by_key.setdefault(r.key, r) is r for ranks in got for r in ranks)
 
 
 def test_g_windows_reaches_zero_and_counts_zero():
