@@ -184,21 +184,8 @@ def _membership_bound(a: Ordinal, k: int) -> int:
 
 
 # the skeleton values 0..15 as records, built once: records are immutable, so
-# every report shares them.  A report's fields are set through the slots'
-# own setters, as frep._built sets a rep's
+# every report shares them
 _EXACT = tuple(map(Exact, range(16)))
-_new = object.__new__
-_set_member, _set_base, _set_skeleton, _set_reason = (
-    getattr(MembershipReport, f).__set__ for f in MembershipReport._fields)
-
-
-def _report(member: bool, k: int, skeleton, reason) -> MembershipReport:
-    r = _new(MembershipReport)
-    _set_member(r, member)
-    _set_base(r, k)
-    _set_skeleton(r, skeleton)
-    _set_reason(r, reason)
-    return r
 
 
 def in_D(a: Ordinal, k: int) -> MembershipReport:
@@ -209,15 +196,15 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
     _check_ordinal(a)
     check_nat("base", k, 2)
     if a.is_zero:
-        return _report(True, k, ((_EXACT[0], 0),), None)
+        return MembershipReport(True, k, ((_EXACT[0], 0),), None)
     bound = _membership_bound(a, k)
     try:
         entries, _ = _skeleton(a, k, bound)
     except NotInDError as err:
-        return _report(False, k, None, err.reason)
+        return MembershipReport(False, k, None, err.reason)
     over = ExceedsCap(bound)
     skel = tuple([(over if v is None else _EXACT[v] if v < 16 else Exact(v), c) for v, c in entries])
-    return _report(True, k, skel, None)
+    return MembershipReport(True, k, skel, None)
 
 
 def _preimage(a: Ordinal, k: int, cap: int) -> int | None:

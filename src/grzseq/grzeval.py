@@ -47,9 +47,9 @@ def climb(n: int, x: int, cap: int, limit: int) -> tuple[int, int]:
     """(i, F_n^(i)(x)) for the largest i <= limit with F_n^(i)(x) <= cap.
 
     Requires 0 <= x <= cap and checks nothing, like ``fold``.  This is the
-    kernel's only evaluator of F_n: ``eval_F``, ``in_relation_R``, ``fold``,
-    ``eval_F_iter``, ``exceeds`` and the codec's greedy tower search all
-    climb through it, and a step of F_3 is a climb of F_2.
+    kernel's only evaluator of F_n: ``eval_F_iter`` and so ``eval_F``,
+    ``in_relation_R``, ``fold``, ``exceeds`` and the codec's greedy tower
+    search all climb through it, and a step of F_3 is a climb of F_2.
     """
     if n == 0:
         y = x + limit
@@ -105,18 +105,11 @@ def fold(pairs: Iterable[tuple[int | None, int | None]], base: int, cap: int) ->
 
 
 def eval_F(n: int, x: int, cap: int) -> BoundedNat:
-    """Evaluate F_n(x) under a cap.
+    """Evaluate F_n(x) under a cap: the one-iterate case of ``eval_F_iter``.
 
     Returns Exact(F_n(x)) when F_n(x) <= cap, ExceedsCap(cap) otherwise.
     """
-    check_nat("n", n)
-    check_nat("x", x)
-    check_nat("cap", cap)
-    if x <= cap:
-        i, v = climb(n, x, cap, 1)
-        if i:
-            return Exact(v)
-    return ExceedsCap(cap)
+    return eval_F_iter(n, 1, x, cap)
 
 
 def eval_F_iter(n: int, i: int, x: int, cap: int) -> BoundedNat:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 
-from .correspond import L_inverse, Q_pred, in_D, o_map
+from .correspond import L_inverse, NotInDError, Q_pred, in_D, o_map
 from .frep import encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
 from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
 from .order import Record, check_nat
@@ -161,26 +161,29 @@ def dominate_check(gammas: list[Ordinal], cap: int = 10**7) -> DominationReport:
     anything else is rejected outright.
     """
     check_nat("cap", cap)
+    for k, a in enumerate(gammas):
+        if not isinstance(a, Ordinal):
+            raise ValueError(f"entry {k} must be an Ordinal, got {a!r}")
     for a, b in zip(gammas, gammas[1:]):
         if not b < a:
             raise ValueError(f"chain not strictly descending at {a} then {b}")
+    preimages = []  # one walk per entry decides membership: its bound exceeds C(a), as in_D's does
     for k, a in enumerate(gammas):
-        report = in_D(a, 2 + k)
-        if not report.member:
-            raise ValueError(f"entry {k} ({a}) is not in D_{2 + k}: {report.reason}")
+        try:
+            preimages.append(L_inverse(a, 2 + k, cap))
+        except NotInDError as err:
+            raise ValueError(f"entry {k} ({a}) is not in D_{2 + k}: {err.reason}") from None
     if not gammas:
         return DominationReport(True, (), (), ())
 
-    v0 = L_inverse(gammas[0], 2, cap)
-    if isinstance(v0, ExceedsCap):
+    if isinstance(preimages[0], ExceedsCap):
         raise CapExceededError(cap)
-    trace = run(v0.value, hereditary=False, cap=cap, max_steps=len(gammas) + 1)
+    trace = run(preimages[0].value, hereditary=False, cap=cap, max_steps=len(gammas) + 1)
 
     entries: list[tuple[int, int, int]] = []
     skipped: list[int] = []
     violations: list[str] = []
-    for k, a in enumerate(gammas):
-        vk = L_inverse(a, 2 + k, cap)
+    for k, vk in enumerate(preimages):
         if k < len(trace.steps):
             zk: BoundedNat = trace.steps[k].value
         elif trace.outcome.kind == "terminated":

@@ -59,6 +59,9 @@ def slow_g(n: int, k: int, x: int) -> Ordinal:
 def _validate_chain(alphas: Sequence[Ordinal]) -> None:
     if len(alphas) == 0:
         raise ValueError("chain must hold at least one entry")
+    for i, a in enumerate(alphas):
+        if not isinstance(a, Ordinal):
+            raise ValueError(f"entry {i} must be an Ordinal, got {a!r}")
     # strict descent already forces any zero to the last slot
     for i, (a, b) in enumerate(zip(alphas, alphas[1:])):
         if not b < a:
@@ -124,7 +127,11 @@ def verify_slow(s: SlowChain | Iterable[Ordinal]) -> SlowReport:
     # largest of an entry's coefficients and its exponents' C, each taken once
     # per exponent object, kept by id beside the exponent itself
     entries = list(s.entries if isinstance(s, SlowChain) else s)
-    keys = [a.key for a in entries]
+    try:
+        keys = [a.key for a in entries]
+    except AttributeError:  # only an entry that is no Ordinal has no key: name it, at no cost to valid calls
+        _validate_chain(entries)
+        raise
     violations = [f"entries {i} and {i + 1} do not descend"
                   for i, (a, b) in enumerate(zip(keys, keys[1:])) if not b < a]
     measures = {}

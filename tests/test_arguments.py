@@ -14,7 +14,7 @@ from grzseq.grzeval import eval_F, eval_F_iter, exceeds, in_relation_R
 from grzseq.order import check_nat
 from grzseq.ordinals import OMEGA, ONE, ZERO, Ordinal, omega_pow, omega_tower
 from grzseq.seq import dominate_check, next_step, run
-from grzseq.slowdown import compress, slow_g
+from grzseq.slowdown import compress, slow_g, verify_slow
 
 CAP = 10**7
 
@@ -111,3 +111,20 @@ def test_the_constructor_accepts_an_int_subclass_coefficient():
 
     a = Ordinal(((ONE, Count(3)), (ZERO, Count(1))))
     assert a == Ordinal(((ONE, 3), (ZERO, 1))) and a.terms[0][1] == 3
+
+
+# the chain functions, each with arguments past the chain; [w, 0] is valid for each
+CHAIN_FUNCTIONS = [(dominate_check, (CAP,)), (compress, (2, 1)), (verify_slow, ())]
+
+
+@pytest.mark.parametrize("fn,rest", CHAIN_FUNCTIONS, ids=lambda v: getattr(v, "__name__", ""))
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("bad", ["x", 3, None, ((ONE, 1),)], ids=repr)
+def test_a_chain_entry_that_is_no_ordinal_raises_value_error(fn, rest, at, bad):
+    chain = [OMEGA, ZERO]
+    fn(chain, *rest)  # the valid chain answers
+    chain[at] = bad
+    with pytest.raises(ValueError) as err:
+        fn(chain, *rest)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"entry {at} must be an Ordinal, got {bad!r}"

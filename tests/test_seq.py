@@ -2,10 +2,11 @@
 
 import pytest
 
-from grzseq.correspond import o_map
+from grzseq import correspond
+from grzseq.correspond import in_D, o_map
 from grzseq.frep import rep_from_json
-from grzseq.grzeval import Exact, ExceedsCap
-from grzseq.ordinals import ZERO, OMEGA, from_int, omega_pow, ordinal_from_json, parse_ordinal
+from grzseq.grzeval import CapExceededError, Exact, ExceedsCap
+from grzseq.ordinals import ONE, ZERO, OMEGA, from_int, omega_pow, omega_tower, ordinal_from_json, parse_ordinal
 from grzseq.seq import (
     Phase,
     Trace,
@@ -228,6 +229,50 @@ def test_dominate_rejects_non_member():
 def test_dominate_rejects_non_descending():
     with pytest.raises(ValueError, match="descending"):
         dominate_check([from_int(1), from_int(1)], cap=CAP)
+
+
+DOMINATED = [  # chain, its report
+    ([from_int(1), ZERO], ((0, 3, 3), (1, 3, 3)), ()),
+    ([OMEGA, from_int(1), ZERO], ((0, 4, 4), (1, 4, 5), (2, 4, 5)), ()),
+    ([parse_ordinal(t) for t in ("w+3", "w+2", "w+1", "w")] + list(map(from_int, (4, 3, 2, 1, 0))),
+     ((0, 7, 7), (1, 8, 8), (2, 9, 9), (3, 10, 10), (4, 10, 11), (5, 10, 11), (6, 10, 11), (7, 10, 11),
+      (8, 10, 11)), ()),
+    ([parse_ordinal("w^w"), parse_ordinal("w*2"), OMEGA], ((0, 8, 8),), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("gammas,entries,skipped", DOMINATED)
+def test_dominate_walks_each_entry_once(monkeypatch, gammas, entries, skipped):
+    # one walk per entry decides its membership and gives its preimage; the
+    # version with a separate in_D pass walked 2n + 1 - (zero entries) times
+    walks = []
+    walk = correspond._skeleton
+    monkeypatch.setattr(correspond, "_skeleton", lambda *args: walks.append(args[1]) or walk(*args))
+    report = dominate_check(gammas, cap=CAP)
+    assert walks == list(range(2, 2 + len(gammas)))
+    assert (report.ok, report.entries, report.skipped, report.violations) == (True, entries, skipped, ())
+
+
+@pytest.mark.parametrize("gammas,message", [
+    ([omega_pow(from_int(2)), from_int(1), ZERO],
+     "entry 0 (w^(2)*1) is not in D_2: finite exponent 2 not below base 2"),
+    ([omega_pow(ONE, 2), ZERO], "entry 0 (w^(1)*2) is not in D_2: count 2 at position 1 not below intermediate base 2"),
+    ([omega_tower(3), parse_ordinal("w^(w+5)")],
+     "entry 1 (w^(w^(1)*1+5)*1) is not in D_3: count 5 at position 1 not below intermediate base 3"),
+    ([parse_ordinal("w^(w^w*2)"), ZERO],
+     "entry 0 (w^(w^(w^(1)*1)*2)*1) is not in D_2: count 2 at position 1 not below intermediate base 2"),
+])
+def test_dominate_names_the_first_non_member_with_in_D_s_reason(gammas, message):
+    k = int(message.split()[1])
+    assert in_D(gammas[k], 2 + k).reason == message.split(": ", 1)[1]
+    with pytest.raises(ValueError) as err:
+        dominate_check(gammas, cap=CAP)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_dominate_refuses_a_first_preimage_above_the_cap():
+    with pytest.raises(CapExceededError):
+        dominate_check([omega_tower(4), OMEGA], cap=CAP)
 
 
 # ---------------------------------------------------------------------------
