@@ -18,10 +18,9 @@ import os
 import sys
 
 # every command needs these two modules; each command imports the rest
-from .grzeval import CapExceededError, Exact
+from .grzeval import DEFAULT_CAP, CapExceededError, Exact
 from .order import ParseError, nat
 
-DEFAULT_CAP = 10**7
 DEFAULT_MAX_STEPS = 10**4
 
 EXIT_OK = 0
@@ -38,7 +37,7 @@ def _fmt_nat(v: int) -> str:
 def _fmt_bounded(b) -> str:
     if isinstance(b, Exact):
         return _fmt_nat(b.value)
-    return f">cap({b.cap})"
+    return f">cap({_fmt_nat(b.cap)})"
 
 
 def _emit(obj) -> None:
@@ -375,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as err:
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (ParseError, FileNotFoundError) as err:
+    except (ParseError, OSError) as err:  # OSError: an --input that cannot be opened
         print(f"grzseq: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as err:  # frep.RepError and correspond.NotInDError are ValueErrors

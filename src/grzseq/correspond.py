@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from operator import sub
 
 from .frep import encode_pairs
-from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap, climb, exceeds
+from .grzeval import DEFAULT_CAP, BoundedNat, CapExceededError, Exact, ExceedsCap, climb, exceeds
 from .order import Record, check_nat
 from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow, predecessor
 
@@ -216,7 +216,7 @@ def _preimage(a: Ordinal, k: int, cap: int) -> int | None:
     return v if v is not None and v <= cap else None
 
 
-def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
+def L_inverse(a: Ordinal, k: int, cap: int = DEFAULT_CAP) -> BoundedNat:
     """The unique x >= k with o_map(x, k) = a, cutoff-aware.
 
     Raises NotInDError when no preimage exists; returns ExceedsCap when the
@@ -229,7 +229,7 @@ def L_inverse(a: Ordinal, k: int, cap: int = 10**7) -> BoundedNat:
     return ExceedsCap(cap) if v is None else Exact(v)
 
 
-def Q_pred(a: Ordinal, k: int, cap: int = 10**7) -> Ordinal:
+def Q_pred(a: Ordinal, k: int, cap: int = DEFAULT_CAP) -> Ordinal:
     """The largest member of D_k strictly below a; requires a in D_k, a > 0.
 
     Raises CapExceededError when a's preimage is above the cap, and checks
@@ -283,7 +283,13 @@ def _counts(x: int, n: int, k: int) -> tuple[list[int], list[int]]:
 def flip(p: PaddedProfile) -> tuple[int, ...]:
     """The flipped profile (m_1 - j_1, ..., m_n - j_n); entries are positive
     and reverse the order: larger x gives a lexicographically smaller flip."""
-    out = tuple(mq - jq for mq, jq in zip(p.m, p.j))
+    try:
+        m, j = p.m, p.j
+    except AttributeError:  # checked only once the read has failed, so a profile pays nothing
+        if not isinstance(p, PaddedProfile):
+            raise ValueError(f"argument p must be a PaddedProfile, got {p!r}")
+        raise
+    out = tuple(mq - jq for mq, jq in zip(m, j))
     assert all(v >= 1 for v in out)
     return out
 
@@ -313,14 +319,7 @@ def g_windows(n: int, windows: Iterable[tuple[int, int, int]]) -> list[list[Ordi
     checked as ``g_window`` checks it: the blocks of a slowdown.  A rank
     below the base, w^n * (k - y), is one object per coefficient for the
     call, so windows at neighbouring bases share theirs; no window, no check."""
-    # below: c -> w^n * c, each built once for the call.  col[c - base] is
-    # w^n * c for base < c < base + len(col), a run that each window extends
-    # at its top, as the bases of a slowdown's blocks rise: a window is one
-    # slice of it, and only a c new to col is looked up in below.  A window
-    # that starts at or below base, or past col's top, starts col again at
-    # its own lowest c, so col never holds more than its windows asked for.
-    # col[0] is never read, so no slice stops at index -1
-    below, col, base, out = {}, [None], 0, []
+    below, out = {}, []  # below: c -> w^n * c, each built once for the call
     for k, x, count in windows:
         check_nat("base", k, 2)
         for v in (n, x, count):
@@ -331,16 +330,11 @@ def g_windows(n: int, windows: Iterable[tuple[int, int, int]]) -> list[list[Ordi
             out.append([from_int(max(0, (k + 1) - y)) for y in range(x, stop)])
             continue
         e, ranks = from_int(n), []
-        lo, hi = max(1, k - stop + 1), k - x  # the coefficients c = k - y of the window's y < k
-        if lo <= hi:
-            if lo <= base or lo > base + len(col):
-                col, base = [None], lo - 1
-            while (c := base + len(col)) <= hi:
-                r = below.get(c)
-                if r is None:
-                    r = below[c] = omega_pow(e, c)
-                col.append(r)
-            ranks = col[hi - base:lo - base - 1:-1]
+        for c in range(k - x, max(0, k - stop), -1):  # the coefficients c = k - y of the window's y < k
+            r = below.get(c)
+            if r is None:
+                r = below[c] = omega_pow(e, c)
+            ranks.append(r)
         exps = list(map(from_int, range(n - 1, -1, -1))) if k < stop else ()  # the profile part's: n-1, ..., 0
         for y in range(max(k, x), stop):
             if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y

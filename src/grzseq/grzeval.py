@@ -34,6 +34,9 @@ class ExceedsCap(Record):
 
 BoundedNat = Exact | ExceedsCap
 
+# the cap of every library default and of the CLI, unless GRZ_CAP or --cap says otherwise
+DEFAULT_CAP = 10**7
+
 
 class CapExceededError(ArithmeticError):
     """Raised where an operation needs an exact value but only a cap overflow exists."""

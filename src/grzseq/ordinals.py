@@ -176,11 +176,6 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     return _ordinal(((e, coeff),), (OPEN, *e.key, coeff, CLOSE))
 
 
-# bound once, as in frep.compare: each read of a member off the Enum class
-# costs about 0.2 us on Python 3.11
-_LT, _EQ, _GT = Ordering.LT, Ordering.EQ, Ordering.GT
-
-
 def _refuse(**args) -> None:
     # reached only once an attribute read has failed, so an Ordinal pays
     # nothing for the check; the message is correspond's
@@ -196,8 +191,8 @@ def compare(a: Ordinal, b: Ordinal) -> Ordering:
         _refuse(a=a, b=b)
         raise
     if ka == kb:
-        return _EQ
-    return _LT if ka < kb else _GT
+        return Ordering.EQ
+    return Ordering.LT if ka < kb else Ordering.GT
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -211,8 +206,6 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
         return a
     lead = bt[0][0]
     lk = lead.key
-    if terms and terms[-1][0].key > lk:  # nothing absorbed
-        return _ordinal(terms + bt, a.key[:-1] + b.key[1:])
     i = 0  # exponents compared by key, as the operators would, without their calls
     while i < len(terms) and terms[i][0].key > lk:
         i += 1
@@ -268,8 +261,9 @@ def coeff_measure(a: Ordinal) -> int:
 
 
 def mul_omega_omega(a: Ordinal) -> Ordinal:
-    """w^w * a (order-preserving): every exponent e lifted to w + e."""
-    return _sum(tuple([(add(OMEGA, e), c) for e, c in a.terms]))
+    """w^w * a (order-preserving): every exponent e lifted to w + e.
+    The one-element case of ``lift_each``."""
+    return lift_each((a,))[0]
 
 
 def lift_each(alphas: Iterable[Ordinal]) -> list[Ordinal]:

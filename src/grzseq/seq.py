@@ -20,7 +20,7 @@ import enum
 
 from .correspond import L_inverse, NotInDError, Q_pred, in_D, o_map
 from .frep import encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
-from .grzeval import BoundedNat, CapExceededError, Exact, ExceedsCap
+from .grzeval import DEFAULT_CAP, BoundedNat, CapExceededError, Exact, ExceedsCap
 from .order import Record, check_nat
 from .ordinals import Ordinal, ordinal_to_json
 
@@ -77,7 +77,7 @@ def next_step(v: int, k: int, hereditary: bool, cap: int) -> BoundedNat:
 def run(
     z: int,
     hereditary: bool = False,
-    cap: int = 10**7,
+    cap: int = DEFAULT_CAP,
     max_steps: int = 10**4,
     with_shadow: bool = False,
 ) -> Trace:
@@ -153,7 +153,7 @@ def shadow_check(t: Trace) -> CheckReport:
     return CheckReport(not violations, checked, skipped, tuple(violations))
 
 
-def dominate_check(gammas: list[Ordinal], cap: int = 10**7) -> DominationReport:
+def dominate_check(gammas: list[Ordinal], cap: int = DEFAULT_CAP) -> DominationReport:
     """Check that the preimages of a descending member chain stay below the
     sequence seeded at the first preimage.
 

@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-from grzseq.correspond import L_inverse, Q_pred, in_D, o_map, o_map_literal, profile
+from grzseq.correspond import L_inverse, Q_pred, flip, in_D, o_map, o_map_literal, profile
 from grzseq.frep import encode, encode_pairs, parse_rep, shift_total_value, shift_value, to_total
 from grzseq.grzeval import eval_F, eval_F_iter, exceeds, in_relation_R
 from grzseq.order import check_nat
@@ -128,3 +128,12 @@ def test_a_chain_entry_that_is_no_ordinal_raises_value_error(fn, rest, at, bad):
         fn(chain, *rest)
     assert type(err.value) is ValueError
     assert str(err.value) == f"entry {at} must be an Ordinal, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["x", 3, None, (2, 3), OMEGA], ids=repr)
+def test_flip_of_anything_but_a_profile_raises_value_error(bad):
+    assert flip(profile(5, 2, 2)) == (1, 3)  # the valid call answers
+    with pytest.raises(ValueError) as err:
+        flip(bad)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"argument p must be a PaddedProfile, got {bad!r}"

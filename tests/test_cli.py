@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, JSON round-trips."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -257,6 +258,14 @@ def test_chain_missing_file_is_usage(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("rest", [["verify"], ["slowdown", "--index", "2", "--const", "1"]], ids=lambda r: r[0])
+def test_chain_input_that_cannot_be_opened_is_usage(capsys, tmp_path, rest):
+    # a directory opens with IsADirectoryError: an OSError, as a missing file's is
+    code, out, err = invoke(capsys, "chain", rest[0], "--input", str(tmp_path), *rest[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("grzseq: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_chain_json_roundtrip(capsys, tmp_path):
     src = tmp_path / "chain.txt"
     src.write_text("w\n1\n0\n", encoding="utf-8")
@@ -320,6 +329,22 @@ def test_grz_cap_allows_whitespace_around_the_number(capsys, monkeypatch):
     assert code == 1 and out.strip() == ">cap(5)"
 
 
+def test_an_exceeded_cap_abbreviates_as_a_value_does(capsys):
+    cap = str(10**60)
+    code, out, _ = invoke(capsys, "shift", "8", "--from", "2", "--to", "3", "--cap", cap)
+    assert code == 1 and out.strip() == ">cap(≈10^60)"
+    code, out, _ = invoke(capsys, "shift", "8", "--from", "2", "--to", "3", "--cap", cap, "--json")
+    assert code == 1 and json.loads(out) == {"exceeds_cap": cap}  # JSON carries the whole cap
+
+
+def test_one_default_cap():
+    from grzseq import cli, correspond, grzeval, seq
+
+    assert cli.DEFAULT_CAP is grzeval.DEFAULT_CAP == 10**7
+    for fn in (seq.run, seq.dominate_check, correspond.L_inverse, correspond.Q_pred):
+        assert inspect.signature(fn).parameters["cap"].default is grzeval.DEFAULT_CAP, fn.__name__
+
+
 def test_big_numbers_abbreviate_in_text_only(capsys):
     from grzseq.cli import _fmt_nat
 
@@ -363,6 +388,7 @@ FRESH = [(argv, 0) for argv in SUBCOMMANDS] + [(argv + ["--json"], 0) for argv i
     (["ord", "C", "w^(" * 1500 + "1" + ")" * 1500], 0),
     (["ord", "Q", "w^2", "--base", "2"], 3),
     (["chain", "verify", "--input", "BAD"], 3),
+    (["chain", "verify", "--input", "DIR"], 2),
 ]
 
 
@@ -370,7 +396,7 @@ FRESH = [(argv, 0) for argv in SUBCOMMANDS] + [(argv + ["--json"], 0) for argv i
 def test_subcommand_in_a_fresh_process(capsys, tmp_path, argv, expected):
     (tmp_path / "chain.txt").write_text("w\n1\n0\n", encoding="utf-8")
     (tmp_path / "bad.txt").write_text("w*2\nw*2\n", encoding="utf-8")
-    files = {"CHAIN": str(tmp_path / "chain.txt"), "BAD": str(tmp_path / "bad.txt")}
+    files = {"CHAIN": str(tmp_path / "chain.txt"), "BAD": str(tmp_path / "bad.txt"), "DIR": str(tmp_path)}
     argv = [files.get(a, a) for a in argv]
     proc = run_cli(argv)
     assert proc.returncode == expected and "Traceback" not in proc.stderr, proc.stderr[-500:]

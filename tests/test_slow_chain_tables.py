@@ -2,13 +2,16 @@
 ``compress`` with one ``mul_omega_omega`` and one ``g_window`` per block,
 ``verify_slow`` taking C as a key's largest token, and the printer with one
 head per exponent.  Equal keys and terms, identical text and reports, the
-same messages for bad arguments, and no table that outlives a call."""
+same messages for bad arguments, and no table that outlives a call.  The
+fast paths that no timed workload paid for are kept at the end, against
+the shorter bodies that replaced them."""
 
 import random
 import time
 
 import pytest
 
+from grzseq import correspond, ordinals
 from grzseq.correspond import flip, g, g_window, g_windows, profile
 from grzseq.grzeval import eval_F, exceeds
 from grzseq.ordinals import (
@@ -403,3 +406,131 @@ def test_chain_to_text_repeats_one_entry_object():
     assert chain_to_text(entries) == old_chain_to_text(entries)
     assert chain_to_text(entries).splitlines()[0] == "w^(w^(1)*3+2)*4+w^(1)*2+7"
     assert parse_chain_text(chain_to_text(entries)) == entries
+
+
+# ---------------------------------------------------------------------------
+# The fast paths deleted for buying no workload any time: g_windows' run of
+# coefficients, add's shortcut for a sum that absorbs nothing, and the direct
+# w^w lift
+
+
+def run_g_windows(n, windows):
+    """g_windows with its ranks below the base sliced from a run of
+    coefficients that each window extends at its top."""
+    below, col, base, out = {}, [None], 0, []
+    for k, x, count in windows:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+            raise ValueError(f"base must be an integer >= 2, got {k!r}")
+        for v in (n, x, count):
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError("slot count and value must be non-negative integers")
+        stop = x + count
+        if n == 0:
+            out.append([from_int(max(0, (k + 1) - y)) for y in range(x, stop)])
+            continue
+        e, ranks = from_int(n), []
+        lo, hi = max(1, k - stop + 1), k - x
+        if lo <= hi:
+            if lo <= base or lo > base + len(col):  # the run starts again at the window's lowest c
+                col, base = [None], lo - 1
+            while (c := base + len(col)) <= hi:
+                r = below.get(c)
+                if r is None:
+                    r = below[c] = omega_pow(e, c)
+                col.append(r)
+            ranks = col[hi - base:lo - base - 1:-1]
+        for y in range(max(k, x), stop):
+            if not exceeds(n, 1, k, y):
+                ranks += [ZERO] * (stop - y)
+                break
+            ranks.append(Ordinal(tuple(zip(map(from_int, range(n - 1, -1, -1)), flip(profile(y, n, k))))))
+        out.append(ranks)
+    return out
+
+
+def shortcut_add(a, b):
+    """add with its shortcut: when every exponent of a lies above b's lead,
+    the two keys joined with no pass over a's terms."""
+    terms, bt = a.terms, b.terms
+    if not bt:
+        return a
+    lead = bt[0][0]
+    lk = lead.key
+    if terms and terms[-1][0].key > lk:  # nothing absorbed
+        return ordinals._ordinal(terms + bt, a.key[:-1] + b.key[1:])
+    i = 0
+    while i < len(terms) and terms[i][0].key > lk:
+        i += 1
+    if i < len(terms) and terms[i][0].key == lk:
+        return ordinals._sum(terms[:i] + ((lead, terms[i][1] + bt[0][1]),) + bt[1:])
+    return ordinals._sum(terms[:i] + bt) if i else b
+
+
+def direct_mul_omega_omega(a):
+    """mul_omega_omega lifting one ordinal's terms with no table."""
+    return ordinals._sum(tuple([(add(OMEGA, e), c) for e, c in a.terms]))
+
+
+def windows_of_compress(monkeypatch, alphas, n, c):
+    """The (base, x, count) windows that compress asks g_windows for."""
+    seen, real = [], correspond.g_windows
+
+    def record(n, windows):
+        seen.append(list(windows))
+        return real(n, seen[-1])
+
+    monkeypatch.setattr(correspond, "g_windows", record)
+    compress(alphas, n, c)
+    monkeypatch.undo()
+    (windows,) = seen
+    return windows
+
+
+def sharing(blocks):
+    """Each rank of a call as the position of its object's first occurrence."""
+    first = {}
+    return [first.setdefault(id(r), i) for i, r in enumerate(r for ranks in blocks for r in ranks)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_g_windows_is_the_coefficient_run_on_the_windows_compress_builds(monkeypatch, seed):
+    alphas, seen = fresh_chain(seed), 0
+    for n, c in ((2, 0), (2, 6), (3, 1), (3, 45)):
+        windows = windows_of_compress(monkeypatch, alphas, n, c)
+        got, want = g_windows(n, windows), run_g_windows(n, windows)
+        assert [[r.key for r in ranks] for ranks in got] == [[r.key for r in ranks] for ranks in want]
+        assert sharing(got) == sharing(want), (seed, n, c)
+        by_key = {}  # a rank below the base, w^n * c, is one object per coefficient for the call
+        below = [r for ranks in got for r in ranks if r.terms and r.terms[0][0] is from_int(n)]
+        assert all(by_key.setdefault(r.key, r) is r for r in below)
+        seen += len(below)
+    assert seen
+    rng = random.Random(seed)
+    for n in range(4):
+        windows = [w for _ in range(4) for w in random_windows(rng, n, rng.randint(2, 10))]
+        got, want = g_windows(n, windows), run_g_windows(n, windows)
+        assert [[r.key for r in ranks] for ranks in got] == [[r.key for r in ranks] for ranks in want]
+        assert sharing(got) == sharing(want), (seed, n, windows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_is_the_shortcut_add_where_nothing_is_absorbed(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        whole = fresh_ordinal(rng, 2)  # a sum split in two: every exponent of a lies above b's lead
+        i = rng.randint(1, len(whole.terms))
+        a, b = Ordinal(whole.terms[:i]), Ordinal(whole.terms[i:])
+        got, want = add(a, b), shortcut_add(a, b)
+        assert same(got, want) and same(got, whole)
+        assert all(x is y for x, y in zip(got.terms, a.terms + b.terms))  # the terms themselves, joined
+        c = fresh_ordinal(rng, 2)
+        assert same(add(a, c), shortcut_add(a, c)) and same(add(c, a), shortcut_add(c, a))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mul_omega_omega_is_the_direct_lift_on_random_chains(seed):
+    alphas = fresh_chain(seed)
+    for chain in (alphas, parse_chain_text(chain_to_text(alphas))):
+        want = [direct_mul_omega_omega(a) for a in chain]
+        assert all(same(mul_omega_omega(a), x) for a, x in zip(chain, want))
+        assert all(same(x, y) for x, y in zip(lift_each(chain), want))
