@@ -11,8 +11,8 @@ The package splits along the data it owns:
 * :mod:`grzseq.cli`        - the command-line front end
 
 ``import grzseq`` loads none of them: each name in ``__all__`` is imported
-from its module when it is first read (PEP 562), so a process loads only the
-modules it runs.
+from its module when it is first read (PEP 562) and stored here, so a
+process loads only the modules it runs and imports each name once.
 """
 
 import importlib
@@ -105,7 +105,8 @@ def __getattr__(name: str):
     except KeyError:
         # also how `from grzseq import seq` reaches the submodule import
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(importlib.import_module(f".{module}", __name__), attr)
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), attr)
+    return value
 
 
 def __dir__() -> list[str]:

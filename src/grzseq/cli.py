@@ -18,10 +18,8 @@ import os
 import sys
 
 # every command needs these two modules; each command imports the rest
-from .grzeval import DEFAULT_CAP, CapExceededError, Exact
+from .grzeval import DEFAULT_CAP, DEFAULT_MAX_STEPS, CapExceededError, Exact
 from .order import ParseError, nat
-
-DEFAULT_MAX_STEPS = 10**4
 
 EXIT_OK = 0
 EXIT_OVERFLOW = 1

@@ -186,13 +186,12 @@ def _pairs(x: int, k: int) -> Pairs:
 _new, _set_base, _set_body, _set_shaped = object.__new__, FRep.base.__set__, FRep.body.__set__, FRep._shaped.__set__
 
 
-def _built(cls: type[FRep], base: int, body, shaped: bool) -> FRep:
+def _built(cls: type[FRep], base: int, body) -> FRep:
     # the library's one builder of reps: a base already checked, so no
-    # __init__.  Only encode passes shaped=True
+    # __init__.  It leaves the mark unset; only encode sets it
     r = _new(cls)
     _set_base(r, base)
     _set_body(r, body)
-    _set_shaped(r, shaped)
     return r
 
 
@@ -200,7 +199,9 @@ def encode(x: int, k: int) -> FRep:
     """The unique representation of x with base k (greedy tower search)."""
     check_nat("base", k, 2)
     check_nat("value", x)
-    return _built(FRep, k, x if x < k else _pairs(x, k), True)
+    r = _built(FRep, k, x if x < k else _pairs(x, k))
+    _set_shaped(r, True)
+    return r
 
 
 def encode_pairs(x: int, k: int) -> Pairs:
@@ -417,7 +418,7 @@ def to_total(x: int, k: int) -> TRep:
     check_nat("base", k, 2)
     check_nat("value", x)
     if x < k:
-        return _built(TRep, k, x, False)
+        return _built(TRep, k, x)
     # each distinct sub-value >= k is encoded once, then its tree is built
     # once, in increasing order (the components of a pair form lie below its
     # value), and each atom on its first use, so equal sub-trees are shared
@@ -439,11 +440,11 @@ def to_total(x: int, k: int) -> TRep:
         for e, c in pairs[v]:
             # every value >= k below v is built, so a component that is not is an atom
             if e not in built:
-                built[e] = _built(TRep, k, e, False)
+                built[e] = _built(TRep, k, e)
             if c not in built:
-                built[c] = _built(TRep, k, c, False)
+                built[c] = _built(TRep, k, c)
             body.append((built[e], built[c]))
-        built[v] = _built(TRep, k, tuple(body), False)
+        built[v] = _built(TRep, k, tuple(body))
     return built[x]
 
 

@@ -36,6 +36,8 @@ BoundedNat = Exact | ExceedsCap
 
 # the cap of every library default and of the CLI, unless GRZ_CAP or --cap says otherwise
 DEFAULT_CAP = 10**7
+# the step limit of seq.run's default and of the CLI, unless --max-steps says otherwise
+DEFAULT_MAX_STEPS = 10**4
 
 
 class CapExceededError(ArithmeticError):

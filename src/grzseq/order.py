@@ -66,14 +66,6 @@ class Ordering(enum.Enum):
     EQ = 0
     GT = 1
 
-    @staticmethod
-    def from_cmp(c: int) -> "Ordering":
-        if c < 0:
-            return Ordering.LT
-        if c > 0:
-            return Ordering.GT
-        return Ordering.EQ
-
 
 def check_nat(name: str, v: int, least: int = 0) -> None:
     """Raise ValueError unless v is an int (a bool is not) no smaller than least."""

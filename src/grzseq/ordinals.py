@@ -150,19 +150,15 @@ def _sum(terms: tuple) -> Ordinal:
     return _ordinal(terms, tuple(key))
 
 
-def _finite(n: int) -> Ordinal:
-    return _ordinal(((ZERO, n),), (OPEN, OPEN, CLOSE, n, CLOSE))
-
-
 # the finite ordinals 0..15, built once, so that from_int allocates nothing
 # for them (o_map's exponents below the base, for one)
-_SMALL = (ZERO, ONE, *map(_finite, range(2, 16)))
+_SMALL = (ZERO, ONE, *(_sum(((ZERO, n),)) for n in range(2, 16)))
 
 
 def from_int(n: int) -> Ordinal:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"expected a non-negative integer, got {n!r}")
-    return _SMALL[n] if n < 16 else _finite(n)
+    return _SMALL[n] if n < 16 else _sum(((ZERO, n),))
 
 
 def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
@@ -384,7 +380,7 @@ def _normal(terms: list, shared: dict) -> Ordinal:
         known = id(e) if c == 1 else (id(e), c)
         a = shared.get(known)
         if a is None:
-            a = shared[known] = omega_pow(e, c) if e.terms else _finite(c)
+            a = shared[known] = omega_pow(e, c) if e.terms else _sum(((ZERO, c),))
         return a
     if terms:
         key, prev = [OPEN], (1,)  # (1,) is above every key, as each starts with OPEN = 0

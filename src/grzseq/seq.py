@@ -20,7 +20,7 @@ import enum
 
 from .correspond import L_inverse, NotInDError, Q_pred, in_D, o_map
 from .frep import encode, print_rep, rep_to_json, shift_total_value, shift_value, to_total
-from .grzeval import DEFAULT_CAP, BoundedNat, CapExceededError, Exact, ExceedsCap
+from .grzeval import DEFAULT_CAP, DEFAULT_MAX_STEPS, BoundedNat, CapExceededError, Exact, ExceedsCap
 from .order import Record, check_nat
 from .ordinals import Ordinal, ordinal_to_json
 
@@ -43,9 +43,6 @@ class Outcome(Record):
 class Trace(Record):
     __slots__ = _fields = ("start", "hereditary", "cap", "steps", "outcome", "overflow_desc")
     _defaults = (None,)
-
-    def values(self) -> list[BoundedNat]:
-        return [s.value for s in self.steps]
 
     def exact_values(self) -> list[int]:
         return [s.value.value for s in self.steps if isinstance(s.value, Exact)]
@@ -78,7 +75,7 @@ def run(
     z: int,
     hereditary: bool = False,
     cap: int = DEFAULT_CAP,
-    max_steps: int = 10**4,
+    max_steps: int = DEFAULT_MAX_STEPS,
     with_shadow: bool = False,
 ) -> Trace:
     """Iterate the rule from seed z until zero, cap overflow, or the step limit.

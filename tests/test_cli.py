@@ -323,6 +323,13 @@ def test_grz_cap_past_the_digit_limit_is_too_long(capsys, monkeypatch):
     assert code == 2 and err.strip() == "grzseq: GRZ_CAP: number too long"
 
 
+@pytest.mark.parametrize("text", ["0", "1"])
+def test_grz_cap_below_two_is_usage(capsys, monkeypatch, text):
+    monkeypatch.setenv("GRZ_CAP", text)
+    code, out, err = invoke(capsys, "shift", "7", "--from", "2", "--to", "3")
+    assert code == 2 and out == "" and err.strip() == "grzseq: GRZ_CAP must be at least 2"
+
+
 def test_grz_cap_allows_whitespace_around_the_number(capsys, monkeypatch):
     monkeypatch.setenv("GRZ_CAP", " 5 ")
     code, out, _ = invoke(capsys, "shift", "7", "--from", "2", "--to", "3")
@@ -343,6 +350,15 @@ def test_one_default_cap():
     assert cli.DEFAULT_CAP is grzeval.DEFAULT_CAP == 10**7
     for fn in (seq.run, seq.dominate_check, correspond.L_inverse, correspond.Q_pred):
         assert inspect.signature(fn).parameters["cap"].default is grzeval.DEFAULT_CAP, fn.__name__
+
+
+def test_one_default_step_limit():
+    from grzseq import cli, grzeval, seq
+
+    assert cli.DEFAULT_MAX_STEPS is grzeval.DEFAULT_MAX_STEPS == 10**4
+    assert inspect.signature(seq.run).parameters["max_steps"].default is grzeval.DEFAULT_MAX_STEPS
+    args = cli.build_parser(grzeval.DEFAULT_CAP).parse_args(["seq", "4"])
+    assert args.max_steps is grzeval.DEFAULT_MAX_STEPS
 
 
 def test_big_numbers_abbreviate_in_text_only(capsys):

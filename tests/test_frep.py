@@ -49,6 +49,20 @@ def test_encode_rejects_bad_base():
         encode(9, 0)
 
 
+def test_a_base_below_two_is_a_rep_error_in_every_reader():
+    for build in (lambda: FRep(1, 0), lambda: parse_rep("[(0,1)]_1"),
+                  lambda: rep_from_json({"base": "1", "pairs": [["0", "1"]]})):
+        with pytest.raises(RepError) as err:
+            build()
+        assert str(err.value) == "base must be an integer >= 2, got 1"
+
+
+def test_an_atom_has_no_pairs_and_a_rep_prints_as_its_text():
+    with pytest.raises(RepError, match="^atom has no pairs$"):
+        FRep(2, 1).pairs
+    assert str(encode(9, 2)) == "[(2,1),(0,1)]_2"
+
+
 def test_decode_examples():
     assert decode(FRep(2, ((2, 1), (0, 1))), CAP) == Exact(9)
     assert decode(FRep(7, ((0, 0),)), CAP) == Exact(7)
@@ -187,7 +201,7 @@ def test_compare_matches_is_atom_reference(k):
         if a.base != b.base:
             raise ValueError(f"cannot compare representations with bases {a.base} and {b.base}")
         if a.is_atom and b.is_atom:
-            return Ordering.from_cmp((a.body > b.body) - (a.body < b.body))
+            return (Ordering.LT, Ordering.EQ, Ordering.GT)[(a.body > b.body) - (a.body < b.body) + 1]
         if a.is_atom:
             return Ordering.LT
         if b.is_atom:

@@ -10,7 +10,8 @@ import pytest
 from grzseq import frep
 from grzseq.correspond import L_inverse, Q_pred, g_window, in_D, o_map, o_map_literal
 from grzseq.frep import RepError, encode, encode_pairs
-from grzseq.ordinals import ONE, ZERO, Ordinal, from_int
+from grzseq.ordinals import ONE, ZERO, Ordinal, from_int, parse_ordinal
+from grzseq.slowdown import parse_chain_text
 
 # ---------------------------------------------------------------------------
 # The replaced body
@@ -96,6 +97,15 @@ def test_from_int_equals_the_built_ordinal():
         want = Ordinal(((ZERO, n),) if n else ())
         got = from_int(n)
         assert (got.key, got.terms) == (want.key, want.terms), n
+
+
+def test_finite_ordinals_past_the_shared_table_equal_the_built_ones():
+    # from_int, the ordinal reader and the chain reader, up to 300
+    for n in range(301):
+        want = Ordinal(((ZERO, n),) if n else ())
+        for got in (from_int(n), parse_ordinal(str(n)), parse_chain_text(f"{n}\n")[0]):
+            assert (got.key, got.terms) == (want.key, want.terms), n
+            assert all(e is ZERO for e, _ in got.terms), n
 
 
 def test_small_from_int_values_are_shared():

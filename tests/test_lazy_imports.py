@@ -135,3 +135,19 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
         grzseq.nonsense
     assert not hasattr(grzseq, "compare")  # exported only under its two new names
+
+
+def test_a_name_is_imported_on_its_first_read_and_then_stored(monkeypatch):
+    from grzseq import frep
+
+    calls, resolve = [], grzseq.__getattr__
+    monkeypatch.delitem(vars(grzseq), "encode", raising=False)
+    monkeypatch.setattr(grzseq, "__getattr__", lambda name: calls.append(name) or resolve(name))
+    assert grzseq.encode is grzseq.encode is frep.encode
+    assert calls == ["encode"] and vars(grzseq)["encode"] is frep.encode
+
+
+def test_a_stored_name_loads_only_its_module():
+    loaded = loaded_by("import grzseq\nassert grzseq.Ordering is grzseq.Ordering\n"
+                       "assert 'Ordering' in vars(grzseq) and 'encode' not in vars(grzseq)")
+    assert sorted(m for m in loaded if m.startswith("grzseq")) == ["grzseq", "grzseq.order"]

@@ -94,7 +94,7 @@ def test_key_order_matches_recursive_reference():
             if ca != cb:
                 return Ordering.LT if ca < cb else Ordering.GT
         la, lb = len(a.terms), len(b.terms)
-        return Ordering.from_cmp((la > lb) - (la < lb))
+        return (Ordering.LT, Ordering.EQ, Ordering.GT)[(la > lb) - (la < lb) + 1]
 
     for a, b in itertools.product(SMALL, repeat=2):
         ref = reference(a, b)
@@ -206,6 +206,27 @@ def test_coeff_measure_examples():
     a = add(omega_pow(parse_ordinal("w*2")), from_int(3))
     assert coeff_measure(a) == 3
     assert coeff_measure(OMEGA) == 1
+
+
+@pytest.mark.parametrize("build", [lambda: Ordinal(((1, 1),)), lambda: omega_pow(1)])
+def test_an_exponent_that_is_no_ordinal_is_refused(build):
+    with pytest.raises(ValueError, match=r"^exponent 1 is not an Ordinal$"):
+        build()
+
+
+def test_an_infinite_ordinal_has_no_int():
+    with pytest.raises(ValueError, match=r"^w\^\(1\)\*1 is infinite$"):
+        OMEGA.as_int()
+
+
+@pytest.mark.parametrize("name", ["nonsense", "keys", "_key", "value"])
+def test_a_deferred_tower_level_has_no_attribute_but_its_key(name):
+    level = omega_tower(30)
+    assert type(level) is not Ordinal  # its key waits for a reader
+    with pytest.raises(AttributeError) as err:
+        getattr(level, name)
+    assert str(err.value) == name
+    assert level.key == omega_tower(30).key and level.key[0] == OPEN
 
 
 def test_cnf_invariants_enforced():

@@ -8,6 +8,7 @@ from grzseq.frep import rep_from_json
 from grzseq.grzeval import CapExceededError, Exact, ExceedsCap
 from grzseq.ordinals import ONE, ZERO, OMEGA, from_int, omega_pow, omega_tower, ordinal_from_json, parse_ordinal
 from grzseq.seq import (
+    CheckReport,
     Phase,
     Trace,
     TraceStep,
@@ -164,6 +165,26 @@ def test_shadow_check_detects_corruption():
     report = shadow_check(corrupted)
     assert not report.ok
     assert any("descend" in v for v in report.violations)
+
+
+def test_shadow_check_on_a_trace_without_shadows_checks_nothing():
+    assert shadow_check(run(4, cap=CAP, max_steps=100)) == CheckReport(True, 0, 0, ())
+
+
+def test_shadow_check_reports_a_shadow_outside_d():
+    t = run(4, cap=CAP, max_steps=100, with_shadow=True)
+    step = t.steps[1]
+    assert step.base == 3 and step.phase == Phase.REPRESENTATION
+    # w^5 is no member of D_3: its exponent 5 is not below the base
+    alien = TraceStep(step.k, step.base, step.value, step.rep, omega_pow(from_int(5)), step.phase)
+    report = shadow_check(Trace(t.start, t.hereditary, t.cap, (alien,), t.outcome))
+    assert report == CheckReport(False, 0, 0, ("k=1: shadow w^(5)*1 not in D_3",))
+
+
+def test_shadow_check_skips_a_pair_whose_preimage_passes_the_cap():
+    t = run(4, cap=CAP, max_steps=100, with_shadow=True)
+    assert shadow_check(t) == CheckReport(True, 3, 0, ())
+    assert shadow_check(Trace(t.start, t.hereditary, 2, t.steps, t.outcome)) == CheckReport(True, 3, 3, ())
 
 
 def test_hereditary_shadows_break_the_plain_descent():

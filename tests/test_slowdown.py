@@ -123,6 +123,11 @@ def test_compress_pinned_three_chain():
     assert out.entries == (omega_tower(4), O("w^(w+1)*1+w*2"))
 
 
+def test_compress_refuses_an_empty_chain():
+    with pytest.raises(ValueError, match="^chain must hold at least one entry$"):
+        compress([], 2, 0)
+
+
 def test_compress_singleton_zero():
     out = compress([ZERO], n=1, c=2)
     assert out.entries == (omega_tower(2), omega_tower(1))
