@@ -38,10 +38,17 @@ def _fmt_bounded(b) -> str:
     return f">cap({_fmt_nat(b.cap)})"
 
 
-def _emit(obj) -> None:
-    import json
+def _emit(args, data, text, code: int = EXIT_OK) -> int:
+    # the one output rule: data as indented JSON under --json, else text.  A
+    # form that takes a walk of its own comes as a function, called only in
+    # the mode that prints it
+    if args.json:
+        import json
 
-    print(json.dumps(obj, indent=2))
+        print(json.dumps(data() if callable(data) else data, indent=2))
+    else:
+        print(text() if callable(text) else text)
+    return code
 
 
 def _default_cap() -> int:
@@ -65,11 +72,7 @@ def _cmd_repr(args) -> int:
     from .frep import encode, print_rep, rep_to_json, to_total
 
     r = to_total(args.x, args.base) if args.total else encode(args.x, args.base)
-    if args.json:
-        _emit(rep_to_json(r))
-    else:
-        print(print_rep(r))
-    return EXIT_OK
+    return _emit(args, rep_to_json(r), print_rep(r))  # one walk and its checks write both
 
 
 def _cmd_shift(args) -> int:
@@ -77,11 +80,9 @@ def _cmd_shift(args) -> int:
 
     shift = shift_total_value if args.hereditary else shift_value
     out = shift(args.x, args.src, args.dst, args.cap)
-    if args.json:
-        _emit({"value": str(out.value)} if isinstance(out, Exact) else {"exceeds_cap": str(out.cap)})
-    else:
-        print(_fmt_bounded(out))
-    return EXIT_OK if isinstance(out, Exact) else EXIT_OVERFLOW
+    exact = isinstance(out, Exact)
+    data = {"value": str(out.value)} if exact else {"exceeds_cap": str(out.cap)}
+    return _emit(args, data, _fmt_bounded(out), EXIT_OK if exact else EXIT_OVERFLOW)
 
 
 def _cmd_seq(args) -> int:
@@ -89,96 +90,78 @@ def _cmd_seq(args) -> int:
     from .ordinals import print_ordinal
     from .seq import run, trace_to_json
 
-    trace = run(
-        args.z,
-        hereditary=args.hereditary,
-        cap=args.cap,
-        max_steps=args.max_steps,
-        with_shadow=args.shadow,
-    )
-    if args.json:
-        _emit(trace_to_json(trace))
-    else:
+    trace = run(args.z, hereditary=args.hereditary, cap=args.cap, max_steps=args.max_steps,
+                with_shadow=args.shadow)
+
+    def text() -> str:
+        lines = []
         for s in trace.steps:
             line = f"k={s.k} base={s.base} value={_fmt_bounded(s.value)}"
             if s.rep is not None:
                 line += f" rep={print_rep(s.rep)}"
             if s.shadow is not None:
                 line += f" shadow={print_ordinal(s.shadow)}"
-            print(f"{line} {s.phase.value.upper()}")
-        print(f"outcome: {trace.outcome.kind} at k={trace.outcome.at}")
+            lines.append(f"{line} {s.phase.value.upper()}")
+        lines.append(f"outcome: {trace.outcome.kind} at k={trace.outcome.at}")
         if trace.overflow_desc:
-            print(f"overflow: {trace.overflow_desc}")
-    return EXIT_OK if trace.outcome.kind == "terminated" else EXIT_OVERFLOW
+            lines.append(f"overflow: {trace.overflow_desc}")
+        return "\n".join(lines)
+
+    code = EXIT_OK if trace.outcome.kind == "terminated" else EXIT_OVERFLOW
+    return _emit(args, lambda: trace_to_json(trace), text, code)
 
 
-def _emit_ordinal(a, as_json: bool) -> int:
+def _emit_ordinal(args, a) -> int:
     from .ordinals import ordinal_to_json, print_ordinal
 
-    if as_json:
-        _emit({"ordinal": ordinal_to_json(a), "text": print_ordinal(a)})
-    else:
-        print(print_ordinal(a))
-    return EXIT_OK
+    text = print_ordinal(a)
+    return _emit(args, lambda: {"ordinal": ordinal_to_json(a), "text": text}, text)
 
 
 def _cmd_ord_encode(args) -> int:
     from .correspond import o_map
 
-    return _emit_ordinal(o_map(args.x, args.base), args.json)
+    return _emit_ordinal(args, o_map(args.x, args.base))
 
 
 def _cmd_ord_compare(args) -> int:
     from .ordinals import compare
 
-    rel = compare(args.a, args.b)
-    if args.json:
-        _emit({"ordering": rel.name})
-    else:
-        print(rel.name)
-    return EXIT_OK
+    rel = compare(args.a, args.b).name
+    return _emit(args, {"ordering": rel}, rel)
 
 
 def _cmd_ord_C(args) -> int:
     from .ordinals import coeff_measure
 
     m = coeff_measure(args.a)
-    if args.json:
-        _emit({"value": str(m)})
-    else:
-        print(m)
-    return EXIT_OK
+    return _emit(args, {"value": str(m)}, m)
 
 
 def _cmd_ord_inD(args) -> int:
     from .correspond import in_D
 
     report = in_D(args.a, args.base)
-    if args.json:
-        skel = None
-        if report.skeleton is not None:
-            skel = [
-                [str(v.value) if isinstance(v, Exact) else {"exceeds_cap": str(v.cap)}, str(c)]
-                for v, c in report.skeleton
-            ]
-        _emit({"member": report.member, "skeleton": skel, "reason": report.reason})
-    elif report.member:
-        print("member")
-    else:
-        print(f"non-member: {report.reason}")
-    return EXIT_OK
+
+    def data() -> dict:
+        skel = None if report.skeleton is None else [
+            [str(v.value) if isinstance(v, Exact) else {"exceeds_cap": str(v.cap)}, str(c)] for v, c in report.skeleton
+        ]
+        return {"member": report.member, "skeleton": skel, "reason": report.reason}
+
+    return _emit(args, data, "member" if report.member else f"non-member: {report.reason}")
 
 
 def _cmd_ord_Q(args) -> int:
     from .correspond import Q_pred
 
-    return _emit_ordinal(Q_pred(args.a, args.base, args.cap), args.json)
+    return _emit_ordinal(args, Q_pred(args.a, args.base, args.cap))
 
 
 def _cmd_gn(args) -> int:
     from .correspond import g
 
-    return _emit_ordinal(g(args.n, args.k, args.x), args.json)
+    return _emit_ordinal(args, g(args.n, args.k, args.x))
 
 
 def _read_chain(path: str):
@@ -195,24 +178,25 @@ def _cmd_chain_slowdown(args) -> int:
     alphas = _read_chain(args.input)
     out = compress(alphas, args.index, args.const)
     report = verify_slow(out)
-    if args.json:
-        _emit(
-            {
-                "entries": [ordinal_to_json(a) for a in out.entries],
-                "entries_text": [print_ordinal(a) for a in out.entries],
-                "tower_prefix_len": out.tower_prefix_len,
-                "tower_height_base": out.tower_height_base,
-                "note": out.note,
-                "verified": report.ok,
-            }
-        )
-    else:
-        sys.stdout.write(chain_to_text(out.entries) if out.entries else "")
-        print(f"# ell={out.tower_prefix_len} N={out.tower_height_base} entries={len(out.entries)}")
+
+    def data() -> dict:
+        return {
+            "entries": [ordinal_to_json(a) for a in out.entries],
+            "entries_text": [print_ordinal(a) for a in out.entries],
+            "tower_prefix_len": out.tower_prefix_len,
+            "tower_height_base": out.tower_height_base,
+            "note": out.note,
+            "verified": report.ok,
+        }
+
+    def text() -> str:
+        body = chain_to_text(out.entries) if out.entries else ""
+        body += f"# ell={out.tower_prefix_len} N={out.tower_height_base} entries={len(out.entries)}\n"
         if out.note:
-            print(f"# note: {out.note}")
-        print(f"# verified: {'ok' if report.ok else 'FAILED'}")
-    return EXIT_OK if report.ok else EXIT_REJECTED
+            body += f"# note: {out.note}\n"
+        return body + f"# verified: {'ok' if report.ok else 'FAILED'}"
+
+    return _emit(args, data, text, EXIT_OK if report.ok else EXIT_REJECTED)
 
 
 def _cmd_chain_verify(args) -> int:
@@ -220,15 +204,12 @@ def _cmd_chain_verify(args) -> int:
 
     entries = _read_chain(args.input)
     report = verify_slow(entries)
-    if args.json:
-        _emit({"ok": report.ok, "violations": list(report.violations)})
+    if report.ok:
+        text = f"ok: {len(entries)} entries descend with C(entry_i) <= i+1"
     else:
-        if report.ok:
-            print(f"ok: {len(entries)} entries descend with C(entry_i) <= i+1")
-        else:
-            for v in report.violations:
-                print(f"violation: {v}")
-    return EXIT_OK if report.ok else EXIT_REJECTED
+        text = "\n".join(f"violation: {v}" for v in report.violations)
+    data = {"ok": report.ok, "violations": list(report.violations)}
+    return _emit(args, data, text, EXIT_OK if report.ok else EXIT_REJECTED)
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,6 @@ class Ordinal(Record):
     def __le__(self, other):
         return self.key <= other.key if isinstance(other, Ordinal) else NotImplemented
 
-    def __gt__(self, other):
-        return self.key > other.key if isinstance(other, Ordinal) else NotImplemented
-
-    def __ge__(self, other):
-        return self.key >= other.key if isinstance(other, Ordinal) else NotImplemented
-
     def __str__(self) -> str:
         return print_ordinal(self)
 

@@ -120,7 +120,8 @@ def shadow_check(t: Trace) -> CheckReport:
     For every consecutive pair of representation-phase steps: the shadows
     strictly decrease, each shadow is a member of D at its own base, and the
     later shadow is exactly the predecessor of the earlier one inside D at
-    the later base (skipped when the preimage is above the cap).
+    the later base (skipped when the preimage is above the cap, and left out
+    when the earlier shadow is outside D, which is reported already).
     """
     violations: list[str] = []
     checked = skipped = 0
@@ -142,6 +143,8 @@ def shadow_check(t: Trace) -> CheckReport:
             expected = Q_pred(s1.shadow, s2.base, t.cap)
         except CapExceededError:
             skipped += 1
+            continue
+        except NotInDError:  # then s1's shadow is outside D at its own base too, as D_k is in D_{k+1}
             continue
         if expected != s2.shadow:
             violations.append(
@@ -173,21 +176,15 @@ def dominate_check(gammas: list[Ordinal], cap: int = DEFAULT_CAP) -> DominationR
     if not gammas:
         return DominationReport(True, (), (), ())
 
-    if isinstance(preimages[0], ExceedsCap):
+    zk: BoundedNat = preimages[0]
+    if isinstance(zk, ExceedsCap):
         raise CapExceededError(cap)
-    trace = run(preimages[0].value, hereditary=False, cap=cap, max_steps=len(gammas) + 1)
-
     entries: list[tuple[int, int, int]] = []
     skipped: list[int] = []
     violations: list[str] = []
     for k, vk in enumerate(preimages):
-        if k < len(trace.steps):
-            zk: BoundedNat = trace.steps[k].value
-        elif trace.outcome.kind == "terminated":
-            zk = Exact(0)  # the sequence stays at zero once it gets there
-        else:
-            skipped.append(k)  # past an overflow the values are unknown
-            continue
+        if k and isinstance(zk, Exact):  # z_k by the rule; zero stays zero, and past an overflow z_k is unknown
+            zk = next_step(zk.value, k - 1, False, cap)
         if isinstance(vk, ExceedsCap) or isinstance(zk, ExceedsCap):
             skipped.append(k)
             continue

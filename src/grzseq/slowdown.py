@@ -5,12 +5,13 @@ except possibly the last entry) and an index n such that every measure
 C(a_{k+1}) is bounded by F_n(max(2,k)), the construction emits a strictly
 descending chain g_0 > g_1 > ... whose coefficients obey C(g_i) <= i + 1:
 
-* a tower prefix g_i = w_{N-i} for i < ell = max(c, C(a_0)), with N minimal
-  such that w_{N-ell} > w^w * a_0;
+* a tower prefix g_i = w_{N-i} for i < ell = max(c, C(a_0), n - 1), with N
+  minimal such that w_{N-ell} > w^w * a_0;
 * past the prefix, i decomposes uniquely (greedily, largest k) as
   i = C(a_0) + ... + C(a_k) + x with x < C(a_{k+1}), and
   g_i = w^w * a_k + rank(n, k, x) where rank is the windowed descending
-  assignment from the correspondence module.
+  assignment from the correspondence module.  A rank's C can reach n, so
+  the prefix runs at least to i = n - 2, and C(g_i) <= i + 1 holds past it.
 
 Cross-block descent rides on w^w-multiplication preserving order; descent
 within a block on the rank's strict descent in x.  The emitted prefix covers
@@ -73,7 +74,8 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
 
     Rejects chains that are not strictly descending (or zero before the
     end), and indices n whose hierarchy level fails to bound the coefficient
-    measures C(a_{k+1}) <= F_n(max(2,k)).
+    measures C(a_{k+1}) <= F_n(max(2,k)).  The tower prefix is max(c, C(a_0),
+    n - 1) entries long, so no rank, whose C can reach n, sits before i = n - 1.
     """
     from .correspond import g_windows
 
@@ -90,7 +92,7 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
                 f"is not bounded by F_{n}({max(2, k)})"
             )
 
-    ell = max(c, measures[0])
+    ell = max(c, measures[0], n - 1)
     lifted = lift_each(alphas)  # w^w * a_k, each distinct exponent lifted once
     target = lifted[0]
     tower, t = ONE, 0

@@ -420,3 +420,71 @@ def test_subcommand_in_a_fresh_process(capsys, tmp_path, argv, expected):
     assert (proc.returncode, proc.stdout) == (code, out)
     if expected == 0 and "--json" in argv:
         json.loads(proc.stdout)
+
+
+GOLDEN = [  # each FRESH command's exact stdout; a JSON one written compactly, as it reads back
+    "[(2,1),(0,1)]_2\n",
+    "6\n",
+    ("k=0 base=2 value=4 rep=[(1,1)]_2 shadow=w^(1)*1 REPRESENTATION\n"
+     "k=1 base=3 value=5 rep=[(0,2)]_3 shadow=2 REPRESENTATION\n"
+     "k=2 base=4 value=5 rep=[(0,1)]_4 shadow=1 REPRESENTATION\n"
+     "k=3 base=5 value=5 rep=[(0,0)]_5 shadow=0 REPRESENTATION\n"
+     "k=4 base=6 value=5 COUNTDOWN\n"
+     "k=5 base=7 value=4 COUNTDOWN\n"
+     "k=6 base=8 value=3 COUNTDOWN\n"
+     "k=7 base=9 value=2 COUNTDOWN\n"
+     "k=8 base=10 value=1 COUNTDOWN\n"
+     "k=9 base=11 value=0 DONE\n"
+     "outcome: terminated at k=9\n"),
+    "w^(w^(1)*1)*1+1\n",
+    "LT\n",
+    "3\n",
+    "member\n",
+    "w^(1)*1+3\n",
+    "w^(2)*1\n",
+    "w^(w^(w^(w^(1)*1)*1)*1)*1\nw^(w^(1)*1+1)*1+w^(1)*2\n# ell=1 N=4 entries=2\n# verified: ok\n",
+    "ok: 3 entries descend with C(entry_i) <= i+1\n",
+    '{"base":"2","pairs":[["2","1"],["0","1"]]}',
+    '{"value":"6"}',
+    ('{"start":"4","hereditary":false,"cap":"10000000","steps":[{"k":0,"base":2,"value":"4",'
+     '"rep":{"base":"2","pairs":[["1","1"]]},"shadow":[[[[[],"1"]],"1"]],"phase":"representation"},'
+     '{"k":1,"base":3,"value":"5","rep":{"base":"3","pairs":[["0","2"]]},"shadow":[[[],"2"]],'
+     '"phase":"representation"},{"k":2,"base":4,"value":"5","rep":{"base":"4","pairs":[["0","1"]]},'
+     '"shadow":[[[],"1"]],"phase":"representation"},{"k":3,"base":5,"value":"5","rep":{"base":"5",'
+     '"pairs":[["0","0"]]},"shadow":[],"phase":"representation"},{"k":4,"base":6,"value":"5",'
+     '"rep":null,"shadow":null,"phase":"countdown"},{"k":5,"base":7,"value":"4","rep":null,'
+     '"shadow":null,"phase":"countdown"},{"k":6,"base":8,"value":"3","rep":null,"shadow":null,'
+     '"phase":"countdown"},{"k":7,"base":9,"value":"2","rep":null,"shadow":null,"phase":"countdown"},'
+     '{"k":8,"base":10,"value":"1","rep":null,"shadow":null,"phase":"countdown"},{"k":9,"base":11,'
+     '"value":"0","rep":null,"shadow":null,"phase":"done"}],"outcome":{"kind":"terminated","at":9}}'),
+    '{"ordinal":[[[[[[[],"1"]],"1"]],"1"],[[],"1"]],"text":"w^(w^(1)*1)*1+1"}',
+    '{"ordering":"LT"}',
+    '{"value":"3"}',
+    '{"member":true,"skeleton":[["2","1"]],"reason":null}',
+    '{"ordinal":[[[[[],"1"]],"1"],[[],"3"]],"text":"w^(1)*1+3"}',
+    '{"ordinal":[[[[[],"2"]],"1"]],"text":"w^(2)*1"}',
+    ('{"entries":[[[[[[[[[[[[],"1"]],"1"]],"1"]],"1"]],"1"]],[[[[[[[],"1"]],"1"],[[],"1"]],"1"],[[[[],'
+     '"1"]],"2"]]],"entries_text":["w^(w^(w^(w^(1)*1)*1)*1)*1","w^(w^(1)*1+1)*1+w^(1)*2"],'
+     '"tower_prefix_len":1,"tower_height_base":4,"note":null,"verified":true}'),
+    '{"ok":true,"violations":[]}',
+    ">cap(10000000)\n",
+    "",
+    "1\n",
+    "",
+    "violation: entries 0 and 1 do not descend\nviolation: entry 0 has coefficient measure 2 > 1\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("case, stdout", list(zip(FRESH, GOLDEN, strict=True)),
+                         ids=[" ".join(argv)[:40] for argv, _ in FRESH])
+def test_subcommand_prints_exactly(capsys, tmp_path, case, stdout):
+    # each command's bytes: its text as written, its JSON indented by 2
+    (tmp_path / "chain.txt").write_text("w\n1\n0\n", encoding="utf-8")
+    (tmp_path / "bad.txt").write_text("w*2\nw*2\n", encoding="utf-8")
+    files = {"CHAIN": str(tmp_path / "chain.txt"), "BAD": str(tmp_path / "bad.txt"), "DIR": str(tmp_path)}
+    argv, expected = case
+    if expected == 0 and "--json" in argv:
+        stdout = json.dumps(json.loads(stdout), indent=2) + "\n"
+    code, out, _ = invoke(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (expected, stdout)

@@ -3,7 +3,10 @@ order, and the soundness of every cutoff against a naive evaluator with a
 larger budget;
 the correspondence's inverse, predecessor, membership and order on the
 images of generated values; the round trip of a compressed chain through
-its text; and every consumer of a rep on hand-built bodies of any shape.
+its text; each engine's answer against its own checker (a compressed chain
+against verify_slow and D, membership from C and from the base below, a
+trace's shadows against shadow_check); and every consumer of a rep on
+hand-built bodies of any shape.
 
 Deterministic: each test runs derandomized, with a fixed number of examples
 and no example database.
@@ -38,7 +41,8 @@ from grzseq.frep import (
 )
 from grzseq.grzeval import Exact, ExceedsCap, climb, eval_F, eval_F_iter, exceeds, fold, in_relation_R
 from grzseq.order import Ordering
-from grzseq.ordinals import OMEGA, ONE, ZERO, Ordinal, from_int
+from grzseq.ordinals import OMEGA, ONE, ZERO, Ordinal, coeff_measure, from_int
+from grzseq.seq import run, shadow_check
 from grzseq.slowdown import chain_to_text, compress, parse_chain_text, verify_slow
 
 
@@ -306,6 +310,56 @@ def test_compressed_chain_text_reads_back(alphas, c, seed):
         a = todo.pop()
         assert seen.setdefault(a.key, a) is a
         todo += [e for e, _ in a.terms]
+
+
+# ---------------------------------------------------------------------------
+# Each engine's answer passes its own checker
+
+
+@derandomized(60)
+@given(chains, st.integers(1, 12), st.integers(0, 6))
+def test_a_compressed_chain_verifies_with_entry_i_in_d_2_plus_i(alphas, n, c):
+    try:
+        out = compress(alphas, n, c)
+    except ValueError as err:  # F_2(2) = 8 bounds every C that cnf draws, so only n = 1 is refused
+        assert n == 1 and "too small" in str(err)
+        return
+    assert verify_slow(out).ok
+    assert all(in_D(a, 2 + i).member for i, a in enumerate(out.entries))
+
+
+@derandomized(100)
+@given(cnf(3), st.integers(0, 4))
+def test_a_coefficient_measure_below_the_base_makes_a_member(a, extra):
+    k = max(2, coeff_measure(a) + 1) + extra
+    assert in_D(a, k).member
+
+
+@derandomized(150)
+@given(st.one_of(st.tuples(cnf(2), st.integers(2, 12)),
+                 st.tuples(mapped, map_bases).map(lambda xk: (o_map(xk[0] + xk[1], xk[1]), xk[1]))))
+def test_a_member_at_a_base_is_a_member_at_the_next(case):
+    a, k = case
+    if in_D(a, k).member:
+        assert in_D(a, k + 1).member
+
+
+shadow_caps = st.one_of(st.sampled_from([10, 100, 10**4, 10**7, 10**30]), st.integers(10, 10**30))
+
+
+@derandomized(60)
+@given(st.integers(0, 7), shadow_caps)
+def test_plain_shadows_pass_their_check(z, cap):
+    assert shadow_check(run(z, False, cap, with_shadow=True)).ok
+
+
+@derandomized(60)
+@given(st.integers(0, 7), shadow_caps)
+def test_hereditary_shadows_are_members(z, cap):
+    # hereditary shadows need not descend (z = 6 and 7 do not), so only
+    # their membership is a law
+    report = shadow_check(run(z, True, cap, with_shadow=True))
+    assert not [v for v in report.violations if "not in D" in v]
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,21 @@ def test_shadow_check_reports_a_shadow_outside_d():
     assert report == CheckReport(False, 0, 0, ("k=1: shadow w^(5)*1 not in D_3",))
 
 
+def test_shadow_check_reports_a_shadow_outside_d_that_a_later_step_follows():
+    # the pair after the alien shadow would ask for its predecessor in D_4,
+    # where it is no member either: the membership violation stands for it
+    t = run(4, cap=CAP, max_steps=100, with_shadow=True)
+    steps = list(t.steps)
+    step = steps[1]
+    steps[1] = TraceStep(step.k, step.base, step.value, step.rep, omega_pow(from_int(5)), step.phase)
+    report = shadow_check(Trace(t.start, t.hereditary, t.cap, tuple(steps), t.outcome))
+    assert report == CheckReport(False, 3, 0, (
+        "k=1: shadow w^(5)*1 not in D_3",
+        "k=0->1: shadow did not descend (w^(1)*1 then w^(5)*1)",
+        "k=1: shadow w^(5)*1 differs from the D_3 predecessor 2",
+    ))
+
+
 def test_shadow_check_skips_a_pair_whose_preimage_passes_the_cap():
     t = run(4, cap=CAP, max_steps=100, with_shadow=True)
     assert shadow_check(t) == CheckReport(True, 3, 0, ())

@@ -183,7 +183,7 @@ def _per_entry_compress(alphas, n, c):
     # the compressor as it was before it walked the chain block by block:
     # each entry rescans the running sums for its block and lifts a_k anew
     measures = [coeff_measure(a) for a in alphas]
-    ell = max(c, measures[0])
+    ell = max(c, measures[0], n - 1)
     target = mul_omega_omega(alphas[0])
     tower, t = ONE, 0
     while tower <= target:
@@ -242,7 +242,7 @@ def _add_compress(alphas, n, c):
     # the compressor as it was before it built each entry in one constructor
     # call: w^w * a_k + rank through ordinal addition
     measures = [coeff_measure(a) for a in alphas]
-    ell = max(c, measures[0])
+    ell = max(c, measures[0], n - 1)
     target = mul_omega_omega(alphas[0])
     tower, t = ONE, 0
     while tower <= target:
