@@ -61,10 +61,23 @@ def _check_map_args(x: int, k: int) -> None:
         raise ValueError(f"the map needs x >= base, got x={x!r}, base={k}")
 
 
+# the image o_map built last, as (image, base, x): in_D, L_inverse and Q_pred
+# handed that very object at that base read x instead of walking it.  Sound as
+# the match is by identity and ordinals are immutable; an equal copy, another
+# base or an older image walks.  One tuple, rebound whole and read once, so
+# threads can cost a miss but never a wrong answer
+_last = (None, 0, 0)
+
+
 def o_map(x: int, k: int) -> Ordinal:
-    """The ordinal associated with x at base k; requires x >= k >= 2."""
+    """The ordinal associated with x at base k; requires x >= k >= 2.
+    Kept with x until the next call, so ``in_D``, ``L_inverse`` and
+    ``Q_pred`` asked about it at base k take no walk."""
+    global _last
     _check_map_args(x, k)
-    return _image(x, k, False)
+    a = _image(x, k, False)
+    _last = (a, k, x)
+    return a
 
 
 # the exponent codes w, w+1, ..., w+15, built once: for k <= e < 2k the pairs
@@ -191,12 +204,20 @@ _EXACT = tuple(map(Exact, range(16)))
 def in_D(a: Ordinal, k: int) -> MembershipReport:
     """Decide whether a is the image of some number at base k, structurally.
 
-    An a that is not an Ordinal raises ValueError.
+    On the image ``o_map`` built last, at its base, the skeleton is read off
+    x's pairs, as the walk would read it.  An a that is not an Ordinal raises
+    ValueError.
     """
     _check_ordinal(a)
     check_nat("base", k, 2)
     if a.is_zero:
         return MembershipReport(True, k, ((_EXACT[0], 0),), None)
+    img, base, x = _last
+    if img is a and base == k:  # a's terms are the pairs (e, c) of x > k, all with c > 0
+        # each e is exact: at most k + 1, below the walk's bound, as e >= k + 2
+        # needs x >= F_{k+2}(k) >= F_4(2), which no int in memory reaches
+        skel = tuple([(_EXACT[e] if e < 16 else Exact(e), c) for e, c in encode_pairs(x, k)])
+        return MembershipReport(True, k, skel, None)
     bound = _membership_bound(a, k)
     try:
         entries, _ = _skeleton(a, k, bound)
@@ -209,10 +230,13 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
 
 def _preimage(a: Ordinal, k: int, cap: int) -> int | None:
     # L_inverse's checks of k and the cap, and its walk, for an a already
-    # checked: a's preimage, None when it is above the cap
+    # checked: a's preimage, None when it is above the cap.  No walk on the
+    # image o_map built last, at its base
     check_nat("base", k, 2)
     check_nat("cap", cap)
-    _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
+    img, base, v = _last
+    if img is not a or base != k:
+        _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
     return v if v is not None and v <= cap else None
 
 

@@ -121,7 +121,8 @@ def shadow_check(t: Trace) -> CheckReport:
     strictly decrease, each shadow is a member of D at its own base, and the
     later shadow is exactly the predecessor of the earlier one inside D at
     the later base (skipped when the preimage is above the cap, and left out
-    when the earlier shadow is outside D, which is reported already).
+    when the earlier shadow is outside D or zero, whose failure is reported
+    already).
     """
     violations: list[str] = []
     checked = skipped = 0
@@ -139,6 +140,8 @@ def shadow_check(t: Trace) -> CheckReport:
             violations.append(
                 f"k={s1.k}->{s2.k}: shadow did not descend ({s1.shadow} then {s2.shadow})"
             )
+        if s1.shadow.is_zero:  # no predecessor, and the descent has failed above
+            continue
         try:
             expected = Q_pred(s1.shadow, s2.base, t.cap)
         except CapExceededError:

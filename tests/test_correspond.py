@@ -1,9 +1,14 @@
 """Number/ordinal correspondence: the coding, its inverse, membership, profiles, g."""
 
+import copy
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 
+from grzseq import correspond
 from grzseq.correspond import (
     L_inverse,
     NotInDError,
@@ -16,7 +21,7 @@ from grzseq.correspond import (
     profile,
 )
 from grzseq.frep import encode, shift_value
-from grzseq.grzeval import CapExceededError, Exact
+from grzseq.grzeval import DEFAULT_CAP, CapExceededError, Exact
 from grzseq.order import Ordering
 from grzseq.ordinals import (
     OMEGA,
@@ -218,6 +223,120 @@ def test_Q_matches_brute_force_max(k):
             if compare(b, a) == Ordering.LT and (best is None or compare(b, best) == Ordering.GT):
                 best = b
         assert Q_pred(a, k, CAP) == best
+
+
+# ---------------------------------------------------------------------------
+# The image o_map built last: in_D, L_inverse and Q_pred read its preimage
+
+
+def _outcome(fn, *args):
+    # a value, or the exception's type and message: raised answers compare too
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _answers(a, k, x):
+    out = [in_D(a, k), in_D(a, k + 1)]
+    for cap in (0, x - 1, x, DEFAULT_CAP):
+        out += [_outcome(L_inverse, a, k, cap), _outcome(Q_pred, a, k, cap)]
+    return out
+
+
+def _pin_to_the_walk(k, xs):
+    for x in xs:
+        a = o_map(x, k)
+        remembered = _answers(a, k, x)
+        assert correspond._last[0] is a  # no call above rebinds the memo
+        walked = _answers(Ordinal(a.terms), k, x)  # an equal copy misses
+        assert remembered == walked, f"x={x} k={k}"  # reports field for field, skeleton included
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_memo_answers_as_the_walk_on_every_image(k):
+    _pin_to_the_walk(k, range(k + 1, 10_001))
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_memo_answers_as_the_walk_on_a_sparser_grid(k):
+    _pin_to_the_walk(k, [*range(k + 1, 200), *range(200, 10_001, 37), k << k, (k << k) + 1])
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    # counts the walks the correspondence takes
+    count = [0]
+    skeleton = correspond._skeleton
+
+    def counted(*args):
+        count[0] += 1
+        return skeleton(*args)
+
+    monkeypatch.setattr(correspond, "_skeleton", counted)
+    return count
+
+
+@pytest.mark.parametrize("x", [5, 8, 9, 2048, 9999])  # limit and successor images
+def test_memo_hit_takes_no_walk(walks, x):
+    a = o_map(x, 2)
+    assert (in_D(a, 2).member, L_inverse(a, 2), Q_pred(a, 2)) == (True, Exact(x), o_map(x - 1, 2))
+    assert walks[0] == 0
+
+
+def test_memo_misses_walk_and_answer_as_the_walk(walks):
+    k, x = 3, 4321
+    a = o_map(x, k)
+    want = _answers(Ordinal(a.terms), k, x)
+    assert walks[0] == 10  # in_D twice, L_inverse four times, Q_pred four times
+    for b in (Ordinal(a.terms), copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+              parse_ordinal(str(a))):
+        assert b is not a and correspond._last[0] is a
+        walks[0] = 0
+        assert _answers(b, k, x) == want
+        assert walks[0] == 10
+    b = Ordinal(a.terms)
+    walks[0] = 0  # the memo's image at another base
+    assert (in_D(a, k + 1), L_inverse(a, k + 1)) == (in_D(b, k + 1), L_inverse(b, k + 1))
+    assert walks[0] == 4
+    o_map(x + 1, k)  # an older image after a newer one
+    walks[0] = 0
+    assert _answers(a, k, x) == want
+    assert walks[0] == 10
+
+
+def test_memo_hit_keeps_every_argument_check_in_order():
+    k, x = 2, 4321
+    a = o_map(x, k)
+    calls = [(L_inverse, a, 1), (L_inverse, a, k, -1), (L_inverse, a, k, True), (Q_pred, a, k, x - 1),
+             (L_inverse, "w", k), (in_D, a, 1), (in_D, a, True)]
+    remembered = [_outcome(*call) for call in calls]
+    assert correspond._last[0] is a
+    b = Ordinal(a.terms)
+    walked = [_outcome(fn, b if arg is a else arg, *rest) for fn, arg, *rest in calls]
+    assert remembered == walked
+    assert all(type(r) is tuple for r in remembered)  # every one of them raised
+    assert remembered[3] == (CapExceededError, str(CapExceededError(x - 1)))
+
+
+def test_memo_under_two_threads_answers_exactly():
+    def invert(k, out):
+        for x in range(k, k + 3000):
+            out.append(L_inverse(o_map(x, k), k) == Exact(x))
+
+    outs = ([], [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        threads = [threading.Thread(target=invert, args=(k, out)) for k, out in zip((2, 3), outs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(out) for out in outs] == [3000, 3000] and all(outs[0]) and all(outs[1])
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,20 @@ def test_shadow_check_reports_a_shadow_outside_d_that_a_later_step_follows():
     ))
 
 
+def test_shadow_check_reports_a_zero_shadow_that_a_later_step_follows():
+    # zero has no predecessor in D_4, so the pair after it reports the failed
+    # descent and asks nothing more
+    t = run(4, cap=CAP, max_steps=100, with_shadow=True)
+    steps = list(t.steps)
+    step = steps[1]
+    steps[1] = TraceStep(step.k, step.base, step.value, step.rep, ZERO, step.phase)
+    report = shadow_check(Trace(t.start, t.hereditary, t.cap, tuple(steps), t.outcome))
+    assert report == CheckReport(False, 3, 0, (
+        "k=1: shadow 0 differs from the D_3 predecessor 2",
+        "k=1->2: shadow did not descend (0 then 1)",
+    ))
+
+
 def test_shadow_check_skips_a_pair_whose_preimage_passes_the_cap():
     t = run(4, cap=CAP, max_steps=100, with_shadow=True)
     assert shadow_check(t) == CheckReport(True, 3, 0, ())
