@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import sub
 
-from .frep import encode_pairs
+from .frep import Pairs, encode_pairs
 from .grzeval import DEFAULT_CAP, BoundedNat, CapExceededError, Exact, ExceedsCap, climb, exceeds
 from .order import Record, check_nat
 from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, coeff_measure, from_int, omega_pow, predecessor
@@ -61,22 +61,25 @@ def _check_map_args(x: int, k: int) -> None:
         raise ValueError(f"the map needs x >= base, got x={x!r}, base={k}")
 
 
-# the image o_map built last, as (image, base, x): in_D, L_inverse and Q_pred
-# handed that very object at that base read x instead of walking it.  Sound as
-# the match is by identity and ordinals are immutable; an equal copy, another
-# base or an older image walks.  One tuple, rebound whole and read once, so
-# threads can cost a miss but never a wrong answer
-_last = (None, 0, 0)
+# the image o_map built last, as (image, base, x, x's pairs): in_D, L_inverse
+# and Q_pred handed that very object at that base read x, and in_D its pairs,
+# instead of walking it.  Sound as the match is by identity and ordinals are
+# immutable; an equal copy, another base or an older image walks.  One tuple,
+# rebound whole and read once, so threads can cost a miss but never a wrong
+# answer
+_last = (None, 0, 0, ())
 
 
 def o_map(x: int, k: int) -> Ordinal:
     """The ordinal associated with x at base k; requires x >= k >= 2.
-    Kept with x until the next call, so ``in_D``, ``L_inverse`` and
-    ``Q_pred`` asked about it at base k take no walk."""
+    Kept with x and its pairs until the next call, so ``in_D``,
+    ``L_inverse`` and ``Q_pred`` asked about it at base k take no walk and
+    encode nothing."""
     global _last
     _check_map_args(x, k)
-    a = _image(x, k, False)
-    _last = (a, k, x)
+    pairs = encode_pairs(x, k)
+    a = _image(x, k, False, pairs)
+    _last = (a, k, x, pairs)
     return a
 
 
@@ -86,14 +89,16 @@ def o_map(x: int, k: int) -> Ordinal:
 _W_PLUS = tuple(add(OMEGA, from_int(n)) for n in range(16))
 
 
-def _image(x: int, k: int, plus_omega: bool) -> Ordinal:
-    # o_k(x), or the exponent code w + o_k(x) when plus_omega, for x >= k.
+def _image(x: int, k: int, plus_omega: bool, pairs: Pairs | None = None) -> Ordinal:
+    # o_k(x), or the exponent code w + o_k(x) when plus_omega, for x >= k,
+    # from x's pairs when the caller has them (o_map does).
     # The pairs' exponents strictly fall and code is strictly monotone, so the
     # terms are in normal form as they come: one constructor call per level.
     # The bare-base [(0,0)] contributes nothing: o_k(k) = 0.
     if plus_omega and x - k < min(k, 16):  # the pairs are [(0, x-k)]: code(x) = w + (x-k)
         return _W_PLUS[x - k]
-    pairs = encode_pairs(x, k)
+    if pairs is None:
+        pairs = encode_pairs(x, k)
     terms = []
     for e, c in pairs:
         if c:
@@ -132,10 +137,12 @@ def o_map_literal(x: int, k: int) -> Ordinal:
 # piece leaves the bound, so membership never materializes the full preimage).
 
 
-def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, int]], int | None]:
+def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, int]] | None, int | str | None]:
     """Decode a to [(value-or-None, count)], None meaning "above bound",
     together with a's own value (the last intermediate base, None above
-    bound).  Raises NotInDError when a has no preimage at base k.
+    bound).  When a has no preimage at base k it returns (None, reason)
+    instead, and raises nothing: ``in_D`` reports the reason and
+    ``_preimage`` raises it as NotInDError.
 
     One walk over the term tuples with a stack of the enclosing term lists,
     so an ordinal of any depth decodes.  A finite exponent is read off its
@@ -156,7 +163,7 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
             if not et or not et[0][0].terms:  # finite: 0, or the one term (0, v)
                 v = et[0][1] if et else 0
                 if v >= k:
-                    raise NotInDError(k, f"finite exponent {v} not below base {k}")
+                    return None, f"finite exponent {v} not below base {k}"
                 entries.append((v, c))
                 continue
             lead, lc = et[0]
@@ -165,7 +172,7 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
                 if lc == 1 and (len(et) == 1 or len(et) == 2 and not et[1][0].terms):  # w + n
                     n = et[1][1] if len(et) == 2 else 0
                     if n >= k:
-                        raise NotInDError(k, f"count {n} at position 1 not below intermediate base {k}")
+                        return None, f"count {n} at position 1 not below intermediate base {k}"
                     entries.append((k + n if k + n <= bound else None, c))
                     continue
                 et = ((lead, lc - 1),) + et[1:] if lc > 1 else et[1:]
@@ -176,7 +183,7 @@ def _skeleton(a: Ordinal, k: int, bound: int) -> tuple[list[tuple[int | None, in
         chain = k
         for p, (v, c) in enumerate(entries, start=1):
             if c >= chain:
-                raise NotInDError(k, f"count {c} at position {p} not below intermediate base {chain}")
+                return None, f"count {c} at position {p} not below intermediate base {chain}"
             j, chain = climb(v, chain, bound, c) if v is not None else (-1, None)
             if j < c:
                 chain = None
@@ -205,24 +212,25 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
     """Decide whether a is the image of some number at base k, structurally.
 
     On the image ``o_map`` built last, at its base, the skeleton is read off
-    x's pairs, as the walk would read it.  An a that is not an Ordinal raises
+    the pairs ``o_map`` kept, as the walk would read it.  A non-member is
+    reported with the reason ``L_inverse`` and ``Q_pred`` raise, and no
+    exception is raised or caught.  An a that is not an Ordinal raises
     ValueError.
     """
     _check_ordinal(a)
     check_nat("base", k, 2)
     if a.is_zero:
         return MembershipReport(True, k, ((_EXACT[0], 0),), None)
-    img, base, x = _last
+    img, base, _, pairs = _last
     if img is a and base == k:  # a's terms are the pairs (e, c) of x > k, all with c > 0
         # each e is exact: at most k + 1, below the walk's bound, as e >= k + 2
         # needs x >= F_{k+2}(k) >= F_4(2), which no int in memory reaches
-        skel = tuple([(_EXACT[e] if e < 16 else Exact(e), c) for e, c in encode_pairs(x, k)])
+        skel = tuple([(_EXACT[e] if e < 16 else Exact(e), c) for e, c in pairs])
         return MembershipReport(True, k, skel, None)
     bound = _membership_bound(a, k)
-    try:
-        entries, _ = _skeleton(a, k, bound)
-    except NotInDError as err:
-        return MembershipReport(False, k, None, err.reason)
+    entries, reason = _skeleton(a, k, bound)
+    if entries is None:
+        return MembershipReport(False, k, None, reason)
     over = ExceedsCap(bound)
     skel = tuple([(over if v is None else _EXACT[v] if v < 16 else Exact(v), c) for v, c in entries])
     return MembershipReport(True, k, skel, None)
@@ -230,13 +238,16 @@ def in_D(a: Ordinal, k: int) -> MembershipReport:
 
 def _preimage(a: Ordinal, k: int, cap: int) -> int | None:
     # L_inverse's checks of k and the cap, and its walk, for an a already
-    # checked: a's preimage, None when it is above the cap.  No walk on the
+    # checked: a's preimage, None when it is above the cap.  Raises
+    # NotInDError with the walk's reason when a has none.  No walk on the
     # image o_map built last, at its base
     check_nat("base", k, 2)
     check_nat("cap", cap)
-    img, base, v = _last
+    img, base, v, _ = _last
     if img is not a or base != k:
-        _, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
+        entries, v = _skeleton(a, k, max(cap, _membership_bound(a, k)))
+        if entries is None:
+            raise NotInDError(k, v)
     return v if v is not None and v <= cap else None
 
 

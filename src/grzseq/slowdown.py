@@ -36,6 +36,14 @@ from .ordinals import (  # the chain-file reader and writer sit beside the ordin
 )
 
 
+# compress's bounds on what it returns.  A term takes about 200 bytes to
+# build and as many again to print: `chain slowdown` peaks near 380 MB at
+# 2^20 terms.  Line i of the tower prefix nests N - i levels, so the prefix's
+# text and keys grow as its length squared: 3,000 lines peak near 250 MB
+_MAX_TERMS = 1 << 20
+_MAX_PREFIX = 3000
+
+
 class SlowChain(Record):
     __slots__ = _fields = ("entries", "tower_prefix_len", "tower_height_base", "note")  # the two ints: ell and N
     _defaults = (None,)
@@ -76,6 +84,13 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
     end), and indices n whose hierarchy level fails to bound the coefficient
     measures C(a_{k+1}) <= F_n(max(2,k)).  The tower prefix is max(c, C(a_0),
     n - 1) entries long, so no rank, whose C can reach n, sits before i = n - 1.
+
+    Before it builds anything, refuses an output past either of two bounds
+    with a ValueError that names the bound.  The tower prefix, whose text
+    and keys grow as the square of its length, holds at most 3,000 entries.
+    The chain holds max(ell, C(a_0) + ... + C(a_last)) entries: the prefix's
+    are one term each, and each later one is counted as n + 1 terms plus the
+    most terms of any a_k.  They may hold at most 2^20 terms in all.
     """
     from .correspond import g_windows
 
@@ -93,6 +108,12 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
             )
 
     ell = max(c, measures[0], n - 1)
+    if ell > _MAX_PREFIX:
+        raise ValueError(f"a tower prefix of {ell} entries is past the bound of {_MAX_PREFIX}")
+    total = sum(measures)
+    size = ell + max(0, total - ell) * (n + 1 + max(len(a.terms) for a in alphas))
+    if size > _MAX_TERMS:
+        raise ValueError(f"a slow chain of up to {size} terms is past the bound of {_MAX_TERMS}")
     lifted = lift_each(alphas)  # w^w * a_k, each distinct exponent lifted once
     target = lifted[0]
     tower, t = ONE, 0
@@ -104,7 +125,6 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
         tower = omega_pow(tower)
         entries.append(tower)
     entries.reverse()
-    total = sum(measures)
     note = None
     if ell >= total:
         note = (

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,23 @@ def test_chain_slowdown_rejects_small_index(capsys, tmp_path):
     src.write_text("w*10\n9\n0\n", encoding="utf-8")
     code, _, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", "2")
     assert code == 3 and "too small" in err
+
+
+@pytest.mark.parametrize("text,index,const,bound", [
+    # the chain that once built until the address space ran out
+    ("w^(w^(w^(999999)*999999)*999999)*999999\nw^(w^(999999)*999999)*999999+w^(w^(3)*99)*999999\n0\n",
+     "64", "0", "a tower prefix of 999999 entries is past the bound of 3000"),
+    ("w^(w^(w^(9)*9)*9)*9\nw^w\n1\n0\n", "1000000", "40", "a tower prefix of 999999 entries is past the bound of 3000"),
+    ("w*2\nw\n1\n0\n", "2", "3001", "a tower prefix of 3001 entries is past the bound of 3000"),
+    ("w^w\nw*999999\n999999\n0\n", "4", "0", "a slow chain of up to 11999979 terms is past the bound of 1048576"),
+], ids=["found", "index", "const", "terms"])
+def test_chain_slowdown_past_its_bounds_is_rejected_at_once(capsys, tmp_path, text, index, const, bound):
+    src = tmp_path / "chain.txt"
+    src.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", index, "--const", const)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", f"grzseq: {bound}\n")
 
 
 def test_chain_missing_file_is_usage(capsys, tmp_path):

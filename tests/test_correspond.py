@@ -339,6 +339,72 @@ def test_memo_under_two_threads_answers_exactly():
     assert [len(out) for out in outs] == [3000, 3000] and all(outs[0]) and all(outs[1])
 
 
+@pytest.fixture
+def encodes(monkeypatch):
+    # the (x, k) of each encode the correspondence makes
+    calls = []
+    encode_pairs = correspond.encode_pairs
+    monkeypatch.setattr(correspond, "encode_pairs", lambda x, k: calls.append((x, k)) or encode_pairs(x, k))
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_memo_hit_encodes_nothing_but_a_limit_predecessor(encodes, k):
+    kinds = {"successor": 0, "limit": 0}
+    for x in range(k + 1, 2_000):
+        a = o_map(x, k)
+        assert encodes == [(x, k)]  # o_map encodes x once; its exponent codes come from the table
+        assert in_D(a, k).member and L_inverse(a, k) == Exact(x)
+        assert encodes == [(x, k)]
+        limit = bool(a.terms[-1][0].terms)
+        assert Q_pred(a, k) == o_map(x - 1, k)
+        assert encodes == [(x, k)] + [(x - 1, k)] * limit + [(x - 1, k)]  # the last from the o_map above
+        kinds["limit" if limit else "successor"] += 1
+        encodes.clear()
+    assert min(kinds.values()) >= 5, kinds  # limits are rare: 9 at k = 2
+
+
+def _non_members(k):
+    # the workload's two probes of each image: its leading count raised by k,
+    # and an added finite exponent >= k; then one ordinal per violation site
+    # of the walk, each reason pinned
+    for x in range(k + 1, 2_000):
+        a = o_map(x, k)
+        (e, c), rest = a.terms[0], a.terms[1:]
+        yield Ordinal(((e, c + k),) + rest), None
+        yield add(a, omega_pow(from_int(k + x % 3))), None
+    yield omega_pow(from_int(k)), f"finite exponent {k} not below base {k}"
+    yield parse_ordinal(f"w^(w^({k}))"), f"finite exponent {k} not below base {k}"  # one level down
+    yield parse_ordinal(f"w^(w+{k})"), f"count {k} at position 1 not below intermediate base {k}"  # the w + n entry
+    yield parse_ordinal(f"w^(w^(w+{k}))*2+w"), f"count {k} at position 1 not below intermediate base {k}"
+    yield from_int(k), f"count {k} at position 1 not below intermediate base {k}"  # the count check
+    yield parse_ordinal(f"w+{2 * k}"), f"count {2 * k} at position 2 not below intermediate base {2 * k}"
+    yield (parse_ordinal(f"w^(w^(w*2+{4 * k}))"),
+           f"count {4 * k} at position 2 not below intermediate base {2 * k}")  # a nested level's count check
+
+
+class _Forbidden(ValueError):
+    def __init__(self, *args):
+        raise AssertionError("NotInDError constructed")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_non_member_gives_one_reason_everywhere_and_in_D_raises_nothing(monkeypatch, k):
+    cases = list(_non_members(k))
+    with monkeypatch.context() as m:
+        m.setattr(correspond, "NotInDError", _Forbidden)
+        reports = [in_D(p, k) for p, _ in cases]
+    for (p, pinned), report in zip(cases, reports):
+        assert not report.member and report.skeleton is None and report.base == k
+        assert pinned in (None, report.reason), p
+        for fn in (L_inverse, Q_pred):
+            with pytest.raises(NotInDError) as err:
+                fn(p, k)
+            assert type(err.value) is NotInDError
+            assert (err.value.base, err.value.reason) == (k, report.reason), (fn, p)
+            assert str(err.value) == f"not in D_{k}: {report.reason}"
+
+
 # ---------------------------------------------------------------------------
 # Profiles
 

@@ -1,9 +1,11 @@
 """Chain compression: pinned outputs, the verifier as end-to-end oracle, rejections."""
 
 import random
+import time
 
 import pytest
 
+from grzseq import slowdown
 from grzseq.ordinals import (
     ONE,
     ZERO,
@@ -311,6 +313,67 @@ def test_compress_bound_check_is_exact():
         compress(chain, n=2, c=2)
     out = compress(chain, n=3, c=3)
     assert verify_slow(out).ok
+
+
+# the chain that once built until the address space ran out (--index 64)
+FOUND_CHAIN = ("w^(w^(w^(999999)*999999)*999999)*999999\n"
+               "w^(w^(999999)*999999)*999999+w^(w^(3)*99)*999999\n0\n")
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    # compress's first build step raises _Built: a call that gets there
+    # passed every bound, and one refused before it built nothing
+    def lift_each(alphas):
+        raise _Built
+
+    monkeypatch.setattr(slowdown, "lift_each", lift_each)
+
+
+def test_compress_refuses_the_unbounded_chain_before_building(builds):
+    alphas = parse_chain_text(FOUND_CHAIN)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^a tower prefix of 999999 entries is past the bound of 3000$"):
+        compress(alphas, 64, 0)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("chain,n,c,past", [
+    ("w*2\nw\n1\n0", 2, 3000, ("w*2\nw\n1\n0", 2, 3001)),
+    ("w*3000\n0", 1, 0, ("w*3001\n0", 1, 0)),
+    ("w\n0", 3001, 0, ("w\n0", 3002, 0))], ids=["c", "C(a_0)", "n - 1"])
+def test_compress_bounds_the_tower_prefix_exactly(builds, chain, n, c, past):
+    # ell = max(c, C(a_0), n - 1) at the bound, and one past it
+    with pytest.raises(_Built):
+        compress(parse_chain_text(chain), n, c)
+    chain, n, c = past
+    with pytest.raises(ValueError, match="^a tower prefix of 3001 entries is past the bound of 3000$"):
+        compress(parse_chain_text(chain), n, c)
+
+
+def test_compress_bounds_the_terms_exactly(builds):
+    # w^w, w*K, K, 0 at n = 4: a prefix of ell = 3 one-term entries, then
+    # 2K + 1 - 3 entries of n + 1 + 1 terms
+    for K, size in ((87381, 1048563), (87382, 1048575), (87383, 1048587)):
+        alphas = [O("w^w"), O(f"w*{K}"), from_int(K), ZERO]
+        if size <= 2**20:
+            with pytest.raises(_Built):
+                compress(alphas, 4, 0)
+        else:
+            with pytest.raises(ValueError, match=f"^a slow chain of up to {size} terms is past the bound of 1048576$"):
+                compress(alphas, 4, 0)
+    # the widest entry counts: one more term in any a_k adds an entry's worth
+    with pytest.raises(ValueError, match="past the bound of 1048576"):
+        compress([O("w^w"), O("w*87382+1"), from_int(87382), ZERO], 4, 0)
+
+
+def test_compress_admits_the_longest_measured_tower():
+    out = compress([O("w*2"), O("w"), O("1"), O("0")], n=2, c=2400)
+    assert (out.tower_prefix_len, len(out.entries)) == (2400, 2400)
 
 
 def test_verify_slow_negative_controls():
