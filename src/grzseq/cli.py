@@ -171,6 +171,11 @@ def _read_chain(path: str):
         return parse_chain_text(handle.read())
 
 
+# the tower prefix's height N under --json: its first entry nests N levels,
+# and the indented JSON of the prefix grows about as N^3, to about 30 MB at 200
+_MAX_JSON_HEIGHT = 200
+
+
 def _cmd_chain_slowdown(args) -> int:
     from .ordinals import ordinal_to_json, print_ordinal
     from .slowdown import chain_to_text, compress, verify_slow
@@ -180,6 +185,9 @@ def _cmd_chain_slowdown(args) -> int:
     report = verify_slow(out)
 
     def data() -> dict:
+        if out.tower_height_base > _MAX_JSON_HEIGHT:  # refused before any JSON is built
+            raise ValueError(f"--json: a tower prefix of height {out.tower_height_base} "
+                             f"is past the bound of {_MAX_JSON_HEIGHT}")
         return {
             "entries": [ordinal_to_json(a) for a in out.entries],
             "entries_text": [print_ordinal(a) for a in out.entries],

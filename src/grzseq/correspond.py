@@ -355,22 +355,26 @@ def g_windows(n: int, windows: Iterable[tuple[int, int, int]]) -> list[list[Ordi
     below the base, w^n * (k - y), is one object per coefficient for the
     call, so windows at neighbouring bases share theirs; no window, no check."""
     below, out = {}, []  # below: c -> w^n * c, each built once for the call
+    e = exps = None  # n as an ordinal, once checked with the first window; the profile part's n-1, ..., 0
     for k, x, count in windows:
         check_nat("base", k, 2)
-        for v in (n, x, count):
+        for v in (x, count) if e is not None else (n, x, count):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError("slot count and value must be non-negative integers")
+        if e is None:
+            e = from_int(n)
         stop = x + count
         if n == 0:
             out.append([from_int(max(0, (k + 1) - y)) for y in range(x, stop)])
             continue
-        e, ranks = from_int(n), []
+        ranks = []
         for c in range(k - x, max(0, k - stop), -1):  # the coefficients c = k - y of the window's y < k
             r = below.get(c)
             if r is None:
                 r = below[c] = omega_pow(e, c)
             ranks.append(r)
-        exps = list(map(from_int, range(n - 1, -1, -1))) if k < stop else ()  # the profile part's: n-1, ..., 0
+        if exps is None and k < stop:  # the first window that reaches the profile part
+            exps = list(map(from_int, range(n - 1, -1, -1)))
         for y in range(max(k, x), stop):
             if not exceeds(n, 1, k, y):  # y >= F_n(k), and so is every later y
                 ranks += [ZERO] * (stop - y)

@@ -29,7 +29,8 @@ class Ordinal(Record):
     exponents, or at the CLOSE of a shorter term list against the OPEN of a
     further term, so lexicographic key order is CNF order.  Each node holds
     its own key, built once from its children's: O(subtree size) per node,
-    except deep tower levels, whose keys wait for a reader (``_Tower``)."""
+    except deep tower levels (``_Tower``) and a slowdown's block entries
+    (``_Join``), whose keys wait for a reader."""
 
     __slots__ = ("terms", "key")
     _fields = ("terms",)
@@ -112,9 +113,57 @@ class _Tower(Ordinal):
         return key
 
 
+def _deferred(slot, build):
+    # a slot of Ordinal's that _Join fills on its first read, from build(self),
+    # and then keeps.  A property, not _Tower's __getattr__: a class with a
+    # __getattr__ pays on every attribute read, about 4x a slot read, and a
+    # join's a and b are read for each entry of a slow chain
+    get, put = slot.__get__, slot.__set__
+
+    def read(self):
+        try:
+            return get(self)
+        except AttributeError:  # the first read
+            value = build(self)
+            put(self, value)
+            return value
+
+    return property(read)
+
+
+class _Join(Ordinal):
+    """a + b with every exponent of b below the last of a, so nothing is
+    absorbed: an entry w^w*a_k + rank of a slowdown block, built by
+    ``add_each``.  It holds a and b; its terms and key, theirs joined, wait
+    for a reader as a _Tower's key does.  ``verify_slow`` and
+    ``chain_to_text`` read a and b instead.  A copy or a pickle is a plain
+    Ordinal."""
+
+    __slots__ = ("a", "b")
+    terms = _deferred(Ordinal.terms, lambda self: self.a.terms + self.b.terms)
+    key = _deferred(Ordinal.key, lambda self: self.a.key[:-1] + self.b.key[1:])
+
+    def __lt__(self, other):
+        # a join against a join builds neither key where the heads decide: one
+        # head object, or heads that differ in a term both of them have
+        if type(other) is _Join:
+            a, b = self.a, other.a
+            if a is b:
+                return self.b.key < other.b.key
+            at, bt = a.terms, b.terms
+            n = min(len(at), len(bt))
+            if at[:n] != bt[:n]:
+                return a.key < b.key
+        return Ordinal.__lt__(self, other)
+
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
+
+
 # the slots' own setters, bound once: each is about a third cheaper than
 # object.__setattr__ by name
 _new, _set_terms, _set_key = object.__new__, Ordinal.terms.__set__, Ordinal.key.__set__
+_set_a, _set_b = _Join.a.__set__, _Join.b.__set__
 
 # omega_pow over an exponent with a longer key defers the key: about 20
 # levels of w^(w^(...)) are built eagerly
@@ -222,18 +271,18 @@ def predecessor(a: Ordinal) -> Ordinal:
 
 
 def add_each(a: Ordinal, bs: Iterable[Ordinal]) -> list[Ordinal]:
-    """[add(a, b) for b in bs], with a's terms and key read once and each
-    entry built in the loop: a block of the slowdown, one lifted entry plus
-    each of its ranks."""
-    terms, head = a.terms, a.key[:-1]
+    """[add(a, b) for b in bs], with a's terms read once: a block of the
+    slowdown, one lifted entry plus each of its ranks.  Where nothing is
+    absorbed the entry is a join that holds a and b, one object each."""
+    terms = a.terms
     last = terms[-1][0].key if terms else ()  # () is below every key: nothing to join
     out = []
     for b in bs:
         bt = b.terms
-        if bt and last > bt[0][0].key:  # nothing absorbed: join the terms and the keys
-            r = _new(Ordinal)
-            _set_terms(r, terms + bt)
-            _set_key(r, head + b.key[1:])
+        if bt and last > bt[0][0].key:
+            r = _new(_Join)
+            _set_a(r, a)
+            _set_b(r, b)
         else:
             r = add(a, b)
         out.append(r)
@@ -306,8 +355,9 @@ def left_subtract_omega(e: Ordinal) -> Ordinal:
 # A chain file holds one ordinal per line; blank lines and '#' comments are
 # ignored.  Reading or writing one keeps a table for the call: the reader's
 # builds each sub-term the lines share once, and the writer's formats the
-# head "w^(E)*" of each distinct exponent and the text of each distinct term
-# tuple once.  One ordinal is the one-line case.
+# head "w^(E)*" of each distinct exponent, the text of each distinct term
+# tuple and that of each head and rank of a join once.  One ordinal is the
+# one-line case.
 
 
 def _key_text(key: tuple) -> str:
@@ -354,8 +404,21 @@ def print_ordinal(a: Ordinal) -> str:
 
 
 def chain_to_text(entries: Iterable[Ordinal]) -> str:
-    heads = {}
-    return "\n".join(_print(a, heads) for a in entries) + "\n"
+    # a join prints as its head's text, "+" and its rank's, each one's text
+    # formatted once per call and kept by id beside it in a table of its own:
+    # an ordinal's text is not its head as an exponent
+    heads, texts, out = {}, {}, []
+    for a in entries:
+        if type(a) is _Join:
+            head, rank = texts.get(id(a.a)), texts.get(id(a.b))
+            if head is None:
+                head = texts[id(a.a)] = (a.a, _print(a.a, heads))
+            if rank is None:
+                rank = texts[id(a.b)] = (a.b, _print(a.b, heads))
+            out.append(f"{head[1]}+{rank[1]}")
+        else:
+            out.append(_print(a, heads))
+    return "\n".join(out) + "\n"
 
 
 def _normal(terms: list, shared: dict) -> Ordinal:

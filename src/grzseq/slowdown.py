@@ -137,7 +137,7 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
         lo = max(0, ell - start)
         windows.append((max(2, k), lo, max(0, measures[k + 1] - lo)))
     # w^w * a_k + rank: every exponent of w^w * a_k is at least w and every
-    # exponent of the rank is finite, so add joins the two keys
+    # exponent of the rank is finite, so add_each joins the two, one object each
     for a, ranks in zip(lifted, g_windows(n, windows)):
         entries += add_each(a, ranks)
     return SlowChain(tuple(entries), ell, height, note)
@@ -145,28 +145,53 @@ def compress(alphas: Sequence[Ordinal], n: int, c: int) -> SlowChain:
 
 def verify_slow(s: SlowChain | Iterable[Ordinal]) -> SlowReport:
     """Check strict descent and the coefficient bound C(entry_i) <= i + 1."""
-    # each entry's key read once, as keys order as the entries do.  C is the
-    # largest of an entry's coefficients and its exponents' C, each taken once
-    # per exponent object, kept by id beside the exponent itself
+    # an entry of a compress block is read as its lifted head and its rank
+    # (ordinals.add_each): two neighbours that hold one head object descend
+    # as their ranks' keys do, since every exponent of a rank lies below every
+    # exponent of its head, and C is the larger of the two's.  Any other pair
+    # is ordered by its keys (a join orders itself by its heads' where they
+    # decide), and any other entry's C is the largest of its coefficients and
+    # its exponents' C.  Each ordinal's C is taken once per call, kept by id
+    # beside the ordinal itself
     entries = list(s.entries if isinstance(s, SlowChain) else s)
+    violations, bounds, measures = [], [], {}
+    prev = prev_head = low = None
     try:
-        keys = [a.key for a in entries]
-    except AttributeError:  # only an entry that is no Ordinal has no key: name it, at no cost to valid calls
+        for i, a in enumerate(entries):
+            head = getattr(a, "a", None)  # a join's head; None: no join, or no Ordinal
+            if head is None:
+                if i and not a.key < prev.key:  # only an entry that is no Ordinal has no key
+                    violations.append(f"entries {i - 1} and {i} do not descend")
+                m = 0
+                for e, c in a.terms:
+                    if c > m:
+                        m = c
+                    known = measures.get(id(e))
+                    if known is None:
+                        known = measures[id(e)] = (e, coeff_measure(e))
+                    if known[1] > m:
+                        m = known[1]
+            else:
+                rank = a.b
+                was, low = low, rank.key
+                if head is not prev_head:
+                    if i and not a < prev:
+                        violations.append(f"entries {i - 1} and {i} do not descend")
+                    known = measures.get(id(head))
+                    if known is None:
+                        known = measures[id(head)] = (head, coeff_measure(head))
+                    top = known[1]
+                elif not low < was:
+                    violations.append(f"entries {i - 1} and {i} do not descend")
+                known = measures.get(id(rank))
+                if known is None:
+                    known = measures[id(rank)] = (rank, coeff_measure(rank))
+                m = known[1] if known[1] > top else top
+            if m > i + 1:
+                bounds.append(f"entry {i} has coefficient measure {m} > {i + 1}")
+            prev, prev_head = a, head
+    except AttributeError:  # named by index, at no cost to valid calls
         _validate_chain(entries)
         raise
-    violations = [f"entries {i} and {i + 1} do not descend"
-                  for i, (a, b) in enumerate(zip(keys, keys[1:])) if not b < a]
-    measures = {}
-    for i, a in enumerate(entries):
-        m = 0
-        for e, c in a.terms:
-            if c > m:
-                m = c
-            known = measures.get(id(e))
-            if known is None:
-                known = measures[id(e)] = (e, coeff_measure(e))
-            if known[1] > m:
-                m = known[1]
-        if m > i + 1:
-            violations.append(f"entry {i} has coefficient measure {m} > {i + 1}")
+    violations += bounds
     return SlowReport(not violations, tuple(violations))

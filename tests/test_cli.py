@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from grzseq import cli, ordinals
 from grzseq.cli import main
 from grzseq.frep import encode, rep_from_json, to_total
 from grzseq.ordinals import ordinal_from_json, parse_ordinal
@@ -173,12 +174,51 @@ def test_chain_output_of_any_depth_prints_and_verifies(capsys, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, verified, "")
 
 
-def test_chain_json_too_deep_to_write_is_usage(capsys, tmp_path):
-    # JSON stays bounded by the stdlib's recursion: past it, a usage error
+def test_chain_json_past_its_height_bound_is_rejected(capsys, tmp_path):
+    # the prefix's JSON grows about as the cube of its height: past the
+    # bound, a validation rejection, as compress's own bounds are
     src = tmp_path / "chain.txt"
     src.write_text("w*2\nw\n1\n0\n", encoding="utf-8")
     code, out, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", "1200", "--json")
-    assert code == 2 and out == "" and "nesting too deep" in err and "Traceback" not in err
+    assert (code, out, err) == (3, "", "grzseq: --json: a tower prefix of height 1203 is past the bound of 200\n")
+
+
+def test_chain_json_just_past_its_height_bound_builds_no_json(capsys, tmp_path, monkeypatch):
+    # w^w * (w*2) lies below w_3, so N = const + 3
+    src = tmp_path / "chain.txt"
+    src.write_text("w*2\nw\n1\n0\n", encoding="utf-8")
+
+    def no_json(a):
+        raise AssertionError("JSON built past the bound")
+
+    monkeypatch.setattr(ordinals, "ordinal_to_json", no_json)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", "198", "--json")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", "grzseq: --json: a tower prefix of height 201 is past the bound of 200\n")
+
+
+@pytest.mark.parametrize("const,code", [(7, 0), (8, 3)])
+def test_chain_json_at_its_height_bound_is_written(capsys, tmp_path, monkeypatch, const, code):
+    # the bound itself, lowered so that the JSON at it stays small
+    src = tmp_path / "chain.txt"
+    src.write_text("w*2\nw\n1\n0\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_MAX_JSON_HEIGHT", 10)
+    got, out, err = invoke(capsys, "chain", "slowdown", "--input", str(src), "--index", "2", "--const", str(const), "--json")
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"grzseq: --json: a tower prefix of height {const + 3} is past the bound of 10\n")
+    else:
+        obj = json.loads(out)
+        assert obj["tower_height_base"] == 10 and obj["verified"] is True and err == ""
+        assert [ordinal_from_json(e) for e in obj["entries"]] == [parse_ordinal(t) for t in obj["entries_text"]]
+
+
+def test_output_too_deep_to_write_is_usage(capsys):
+    # a writer that recurses once per level stops at the interpreter's limit:
+    # a usage error, with no traceback
+    code, out, err = invoke(capsys, "repr", str(7**2724), "--base", "2", "--total")
+    assert (code, out, err) == (2, "", "grzseq: nesting too deep\n")
 
 
 def test_ord_inD(capsys):

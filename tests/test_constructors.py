@@ -30,7 +30,7 @@ def all_records() -> list[type]:
 RECORDS = all_records()
 IDS = [c.__name__ for c in RECORDS]
 # the records whose own __init__ checks what it is given
-WRITTEN = {"FRep", "TRep", "Ordinal", "_Tower"}
+WRITTEN = {"FRep", "TRep", "Ordinal", "_Tower", "_Join"}
 
 
 def written(cls: type) -> bool:
@@ -58,7 +58,8 @@ def test_the_signature_is_the_fields(cls):
 def test_only_the_named_fields_have_defaults():
     defaults = {(c.__name__, p.name): p.default for c in RECORDS
                 for p in inspect.signature(c).parameters.values() if p.default is not p.empty}
-    assert defaults == {("Trace", "overflow_desc"): None, ("SlowChain", "note"): None, ("Ordinal", "terms"): ()}
+    assert defaults == {("Trace", "overflow_desc"): None, ("SlowChain", "note"): None, ("Ordinal", "terms"): (),
+                        ("_Join", "terms"): ()}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

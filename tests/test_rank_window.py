@@ -5,7 +5,8 @@ for the ranks below the base."""
 
 import pytest
 
-from grzseq.correspond import flip, g, g_window, profile
+from grzseq import correspond
+from grzseq.correspond import flip, g, g_window, g_windows, profile
 from grzseq.grzeval import eval_F, exceeds
 from grzseq.ordinals import ZERO, Ordinal, from_int, omega_pow, print_ordinal
 
@@ -84,3 +85,35 @@ def test_window_rejects_what_g_rejects(bad):
             assert str(err.value) == str(want.value), (fn.__name__, args)
     with pytest.raises(ValueError, match="slot count and value must be non-negative integers"):
         g_window(2, 3, 1, bad)
+
+
+def test_windows_check_and_build_n_once_per_call(monkeypatch):
+    # n is checked with the first window, so no window means no check; n and
+    # the profile part's exponents are built once for the call, and not at
+    # all for windows that lie wholly below their base
+    assert g_windows(-1, []) == [] and g_windows(True, iter(())) == []
+    built, real = [], correspond.from_int
+    monkeypatch.setattr(correspond, "from_int", lambda v: built.append(v) or real(v))
+    windows = [(k, x, count) for k in range(2, 9) for x, count in ((0, k + 4), (1, 2), (k + 1, 3))]
+    blocks = g_windows(2, windows)
+    assert built == [2, 1, 0]
+    assert [[a.key for a in b] for b in blocks] == [[a.key for a in g_window(2, *w)] for w in windows]
+    built.clear()
+    assert [[a.key for a in b] for b in g_windows(3, [(5, 0, 3), (9, 2, 7)])] == \
+           [[omega_pow(from_int(3), c).key for c in (5, 4, 3)], [omega_pow(from_int(3), c).key for c in range(7, 0, -1)]]
+    assert built == [3]
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_windows_name_a_bad_argument_as_g_window_does(bad):
+    # n is checked with the first window, after its base; a later window's
+    # base and values are checked after n; each with g_window's message
+    cases = [(2, [(bad, 1, 2)]), (bad, [(3, 1, 2)]), (bad, [(bad, 1, 2)]), (bad, [(3, bad, 2), (4, 1, 2)]),
+             (2, [(3, 1, 2), (bad, 1, 2)]), (2, [(3, 1, 2), (4, bad, 2)]), (2, [(3, 1, 2), (4, 1, bad)])]
+    for n, windows in cases:
+        with pytest.raises(ValueError) as want:
+            for w in windows:
+                g_window(n, *w)
+        with pytest.raises(ValueError) as got:
+            g_windows(n, windows)
+        assert str(got.value) == str(want.value), (n, windows)
